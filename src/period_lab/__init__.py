@@ -55,6 +55,7 @@ from .poly import (
 from .rings import (
     GroupAlgebra,
     ProductRing,
+    component_periods,
     component_recurrence,
     group_algebra_max_period,
     group_algebra_period,
@@ -99,7 +100,7 @@ __all__ = [
     "period_set_lower_bound", "period_set_closed_form",
     "order_set_bruteforce", "DEFAULT_BUDGET",
     "ProductRing", "make_product_ring", "component_recurrence",
-    "period_over_ring", "period_set_over_ring", "lcm_closure",
+    "component_periods", "period_over_ring", "period_set_over_ring", "lcm_closure",
     "max_period_bound", "verify_field_characterization",
     "GroupAlgebra", "make_group_algebra", "group_algebra_period",
     "group_algebra_max_period",

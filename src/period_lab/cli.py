@@ -17,6 +17,7 @@ import os
 import sys
 
 from .ff import parse_field_spec
+from .intfactor import lcm64
 from .orders import poly_order, poly_order_bruteforce
 from .period_sets import (
     default_budget,
@@ -27,7 +28,10 @@ from .period_sets import (
 from .poly import DEFAULT_SEED, format_poly, parse_poly
 from .rings import (
     GroupAlgebra,
+    component_period_set,
+    component_periods,
     group_algebra_max_period,
+    lcm_closure,
     make_product_ring,
     period_over_ring,
 )
@@ -134,7 +138,10 @@ def _prepare_simulate(args):
 
 def _run_simulate(args, inputs) -> int:
     field, rec, init = inputs
-    terms = generate(rec, init, args.terms)
+    # state i of the trajectory is (a_i, ..., a_{i+k-1})
+    n_states = max(args.terms, 1)
+    seq = generate(rec, init, max(args.terms, n_states + rec.k - 1))
+    terms = seq[:args.terms]
     fmt_el = field.format_element
     payload = {
         "schema": SCHEMA, "command": "simulate", "field": field.spec(),
@@ -150,14 +157,8 @@ def _run_simulate(args, inputs) -> int:
         text.append(f"period: {period}")
         rows.append(["period", period])
     if args.trajectory:
-        state = list(init)
-        traj = [[fmt_el(s) for s in state]]
-        from .sequences import _step
-
-        for _ in range(max(args.terms - 1, 0)):
-            _step(rec, state)
-            traj.append([fmt_el(s) for s in state])
-        payload["trajectory"] = traj
+        payload["trajectory"] = [[fmt_el(s) for s in seq[i:i + rec.k]]
+                                 for i in range(n_states)]
     _emit(args, payload, text, rows)
     return 0
 
@@ -249,13 +250,9 @@ def _run_ring_period_set(args, inputs) -> int:
     (ring,) = inputs
     k = args.degree
     budget = args.budget if args.budget is not None else default_budget()
-    from .rings import component_period_set
-
     component_sets = [
         component_period_set(c, k, budget=budget) for c in ring.components
     ]
-    from .rings import lcm_closure
-
     combined = lcm_closure(component_sets)
     payload = {
         "schema": SCHEMA, "command": "ring-period-set",
@@ -281,25 +278,20 @@ def _prepare_ring_period(args):
 
 def _run_ring_period(args, inputs) -> int:
     ring, rec, init = inputs
-    period = period_over_ring(rec, init)
+    cpers = component_periods(rec, init)
+    period = lcm64(*cpers)
     payload = {
         "schema": SCHEMA, "command": "ring-period",
         "components": [c.spec() for c in ring.components],
         "recurrence": [ring.format_element(c) for c in rec.coeffs],
         "initial": [ring.format_element(s) for s in init],
-        "component_periods": [],
+        "component_periods": cpers,
         "period": period,
     }
-    from .rings import component_recurrence
-
-    text = []
-    rows = [["component", "period"]]
-    for i, comp in enumerate(ring.components):
-        cper = period_bruteforce(component_recurrence(rec, i),
-                                 tuple(s[i] for s in init))
-        payload["component_periods"].append(cper)
-        text.append(f"component {comp.spec()}: {cper}")
-        rows.append([comp.spec(), cper])
+    text = [f"component {c.spec()}: {cper}" for c, cper in zip(ring.components, cpers)]
+    rows = [["component", "period"]] + [
+        [c.spec(), cper] for c, cper in zip(ring.components, cpers)
+    ]
     if args.method in ("simulate", "both"):
         direct = period_over_ring(rec, init, direct=True)
         payload["simulated"] = direct

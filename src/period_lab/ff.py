@@ -306,11 +306,12 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 
     Candidates are compared on their little-endian coefficient vectors,
     constant term first, which makes the choice reproducible everywhere.
+    A zero constant term makes x a factor, so the scan starts at 1.
     """
     from .poly import Poly, is_irreducible
 
     base = make_field(p)
-    for tail in itertools.product(range(p), repeat=e):
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         f = Poly(base, (*tail, 1))
         if is_irreducible(f):
             return (*tail, 1)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange
-from .ff import FieldCtx, make_field
+from .ff import FieldCtx
 from .intfactor import INT64_MAX, divisor_list, split_prime_power
 from .orders import poly_order
 from .poly import DEFAULT_SEED, monic_polys
@@ -55,11 +57,15 @@ class PeriodSet:
     def __len__(self):
         return len(self.values)
 
+    @cached_property
+    def _frozen(self) -> frozenset:
+        return frozenset(self.values)
+
     def __contains__(self, n):
-        return n in set(self.values)
+        return n in self._frozen
 
     def as_set(self) -> frozenset:
-        return frozenset(self.values)
+        return self._frozen
 
     def issubset(self, other) -> bool:
         return self.as_set() <= _as_frozenset(other)
@@ -183,27 +189,10 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
     return PeriodSet(vals.values, "closed")
 
 
-def _order_set_chunk(p: int, e: int, modulus, k: int, start: int, stop: int,
+def _order_set_chunk(field: FieldCtx, k: int, start: int, stop: int,
                      seed: int) -> frozenset:
-    field = make_field(p, e, modulus)
-    q = field.q
-    out = set()
-    for f in _monic_range(field, k, start, stop):
-        out.add(poly_order(f, seed=seed).order)
-    return frozenset(out)
-
-
-def _monic_range(field: FieldCtx, degree: int, start: int, stop: int):
-    q = field.q
-    from .poly import _mk
-
-    for idx in range(start, stop):
-        cs = []
-        v = idx
-        for _ in range(degree):
-            v, r = divmod(v, q)
-            cs.append(r)
-        yield _mk(field, (*cs, 1))
+    return frozenset(poly_order(f, seed=seed).order
+                     for f in islice(monic_polys(field, k), start, stop))
 
 
 def order_set_bruteforce(field: FieldCtx, k: int, *, budget: int | None = None,
@@ -222,18 +211,12 @@ def order_set_bruteforce(field: FieldCtx, k: int, *, budget: int | None = None,
         raise BudgetExceeded(f"{total} polynomials exceed the budget {budget}")
     if jobs > 1 and total >= 4096:
         chunk = -(-total // jobs)
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        out: set[int] = set()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_order_set_chunk, field.p, field.e, field.modulus,
-                            k, lo, hi, seed)
-                for lo, hi in spans
+                pool.submit(_order_set_chunk, field, k, lo, min(lo + chunk, total), seed)
+                for lo in range(0, total, chunk)
             ]
-            for fut in futures:
-                out |= fut.result()
-        return PeriodSet.of(out, "bruteforce")
-    out = set()
-    for f in monic_polys(field, k):
-        out.add(poly_order(f, seed=seed).order)
+            out = frozenset().union(*(fut.result() for fut in futures))
+    else:
+        out = _order_set_chunk(field, k, 0, total, seed)
     return PeriodSet.of(out, "bruteforce")

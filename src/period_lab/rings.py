@@ -134,24 +134,30 @@ def component_recurrence(rec: Recurrence, i: int) -> Recurrence:
     return Recurrence(ring.components[i], tuple(c[i] for c in rec.coeffs))
 
 
+def component_periods(rec: Recurrence, s0) -> list[int]:
+    """Period of each component projection of a product-ring recurrence
+    from state s0, in component order."""
+    ring = rec.ctx
+    if not isinstance(ring, ProductRing):
+        raise TypeError("component periods need a product-ring recurrence")
+    s0 = tuple(ring.element(s) for s in s0)
+    return [
+        period_bruteforce(component_recurrence(rec, i), tuple(s[i] for s in s0))
+        for i in range(ring.r)
+    ]
+
+
 def period_over_ring(rec: Recurrence, s0, *, direct: bool = False) -> int:
     """Period over a product ring: lcm of the projected component periods.
 
     With direct=True the ring state is walked as-is instead, which serves
     as the independent cross-check of the lcm route.
     """
-    ring = rec.ctx
-    if not isinstance(ring, ProductRing):
-        raise TypeError("period_over_ring needs a product-ring recurrence")
-    s0 = tuple(ring.element(s) for s in s0)
     if direct:
+        if not isinstance(rec.ctx, ProductRing):
+            raise TypeError("period_over_ring needs a product-ring recurrence")
         return period_bruteforce(rec, s0)
-    out = 1
-    for i in range(ring.r):
-        crec = component_recurrence(rec, i)
-        cs0 = tuple(s[i] for s in s0)
-        out = lcm64(out, period_bruteforce(crec, cs0))
-    return out
+    return lcm64(*component_periods(rec, s0))
 
 
 def lcm_closure(sets) -> PeriodSet:
@@ -332,8 +338,6 @@ def _trim_tuple(a):
 def make_group_algebra(p: int, n: int) -> GroupAlgebra:
     """F_p[t]/<t^n - 1>, with its field decomposition when p does not
     divide n."""
-    base = make_field(p)  # validates primality and range
-    del base
     return GroupAlgebra(p, n)
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .ff import make_field
-from .intfactor import is_prime
+from .intfactor import is_prime, split_prime_power
 from .orders import poly_order, poly_order_bruteforce
 from .period_sets import (
     divisors,
@@ -68,14 +68,8 @@ class VerifyReport:
 
 
 def _fib(q):
-    field = make_field(*_pe(q))
+    field = make_field(*split_prime_power(q))
     return Recurrence(field, (1, 1))
-
-
-def _pe(q):
-    from .intfactor import split_prime_power
-
-    return split_prime_power(q)
 
 
 def _check_fib_mod2():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from period_lab import cli, rings, sequences
 from period_lab.cli import main
 from period_lab.ff import parse_field_spec
 from period_lab.poly import parse_poly
@@ -182,6 +183,28 @@ def test_ring_period(capsys):
     assert payload["component_periods"] == [3, 20]
     assert payload["period"] == 60
     assert payload["simulated"] == 60
+
+
+@pytest.mark.parametrize("components, init, method, walks", [
+    ("2,5", "0|0,1|1", "lcm", 2),
+    ("2,5", "0|0,1|1", "both", 3),
+    ("2,3,5", "0|0|0,1|1|1", "lcm", 3),
+    ("2,3,5", "0|0|0,1|1|1", "both", 4),
+])
+def test_ring_period_walks_each_component_once(monkeypatch, capsys, components,
+                                               init, method, walks):
+    calls = []
+
+    def counting(rec, s0):
+        calls.append(rec)
+        return sequences.period_bruteforce(rec, s0)
+
+    for mod in (cli, rings):
+        monkeypatch.setattr(mod, "period_bruteforce", counting)
+    code, _, _ = run_cli(capsys, "ring", "period", "--components", components,
+                         "--rec", "1,1", "--init", init, "--method", method)
+    assert code == 0
+    assert len(calls) == walks
 
 
 def test_algebra(capsys):

@@ -13,7 +13,8 @@ from period_lab.errors import (
     ZeroElement,
 )
 from period_lab.ff import FieldCtx, make_field, parse_field_spec
-from period_lab.poly import Poly
+from period_lab import poly
+from period_lab.poly import Poly, is_irreducible
 
 
 def reduce_mod_modulus(p, modulus, coeffs):
@@ -72,6 +73,34 @@ def test_default_modulus_is_lexicographically_smallest():
     # the counting order hits (1,0,1,1) = x^3+x^2+1 before x^3+x+1
     assert ordered[0] == (1, 0, 1, 1)
     assert make_field(2, 3).modulus == ordered[0]
+
+
+def test_default_modulus_matches_full_scan():
+    # oracle: the first irreducible among all monic degree-e candidates,
+    # those with constant term 0 included
+    for p, degrees in ((2, range(2, 10)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3))):
+        base = make_field(p)
+        for e in degrees:
+            first = next(
+                (*tail, 1) for tail in itertools.product(range(p), repeat=e)
+                if is_irreducible(Poly(base, (*tail, 1)))
+            )
+            assert make_field(p, e).modulus == first, (p, e)
+
+
+def test_default_modulus_skips_zero_constant_terms(monkeypatch):
+    # a zero constant term means x divides the candidate; F_2^16 once tested
+    # all 2^15 such candidates before reaching one that can be irreducible
+    constants = []
+
+    def counting(f):
+        constants.append(f.coeffs[0])
+        return is_irreducible(f)
+
+    monkeypatch.setattr(poly, "is_irreducible", counting)
+    F = make_field(2, 16)
+    assert F.modulus == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
+    assert 0 not in constants and len(constants) < 100
 
 
 def test_default_moduli_irreducible_small():

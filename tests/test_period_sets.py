@@ -44,6 +44,7 @@ def test_period_set_semantics():
     assert s == {1, 2, 3} and s == [1, 2, 3]
     assert s == PeriodSet.of([1, 2, 3], "y")  # the tag is metadata only
     assert s.issubset({1, 2, 3, 4})
+    assert s.as_set() is s.as_set()  # built once, shared by `in` and ==
     with pytest.raises(OutOfRange):
         PeriodSet.of([0, 1])
 

@@ -15,6 +15,7 @@ from period_lab.intfactor import lcm64
 from period_lab.period_sets import PeriodSet, period_set_closed_form
 from period_lab.poly import is_irreducible, parse_poly
 from period_lab.rings import (
+    component_periods,
     component_recurrence,
     group_algebra_max_period,
     group_algebra_period,
@@ -81,6 +82,7 @@ def test_period_over_ring_fibonacci():
     rec = Recurrence(ring, ((1, 1), (1, 1)))
     s0 = ((0, 0), (1, 1))
     # derived: lcm of the component periods, cross-checked by direct walk
+    assert component_periods(rec, s0) == [3, 20]
     assert period_over_ring(rec, s0) == lcm64(3, 20) == 60
     assert period_over_ring(rec, s0, direct=True) == 60
     assert period_over_ring(rec, ((0, 0), (0, 0))) == 1
@@ -279,6 +281,8 @@ def test_group_algebra_sequences_run_directly():
 def test_group_algebra_validation():
     with pytest.raises(OutOfRange):
         make_group_algebra(2, 1)
+    with pytest.raises(OutOfRange):  # n is checked before p
+        make_group_algebra(4, 1)
     from period_lab.errors import CompositeCharacteristic
 
     with pytest.raises(CompositeCharacteristic):

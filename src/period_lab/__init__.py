@@ -3,9 +3,10 @@ direct sums of finite fields, and cyclic group algebras.
 
 The library computes polynomial orders (by factorization pipeline and by
 brute force), simulates recurrences and measures periods, recovers
-minimal polynomials, evaluates period sets of bounded degree in closed
-form, and handles product rings through componentwise projection and
-lcm-closure.  Everything is exact and deterministic.
+minimal polynomials, evaluates period sets of bounded degree (in closed
+form for degrees 1-4, exactly for every degree), and handles product
+rings through componentwise projection and lcm-closure.  Everything is
+exact and deterministic.
 """
 
 from . import errors
@@ -34,6 +35,7 @@ from .period_sets import (
     divisors,
     order_set_bruteforce,
     period_set_closed_form,
+    period_set_exact,
     period_set_lower_bound,
     set_product,
     set_scale,
@@ -97,7 +99,7 @@ __all__ = [
     "impulse_state", "impulse_response_period",
     "companion_order_bruteforce", "berlekamp_massey", "minimal_poly",
     "PeriodSet", "divisors", "set_scale", "set_product", "set_union",
-    "period_set_lower_bound", "period_set_closed_form",
+    "period_set_lower_bound", "period_set_closed_form", "period_set_exact",
     "order_set_bruteforce", "DEFAULT_BUDGET",
     "ProductRing", "make_product_ring", "component_recurrence",
     "component_periods", "period_over_ring", "period_set_over_ring", "lcm_closure",

@@ -23,6 +23,7 @@ from .period_sets import (
     default_budget,
     order_set_bruteforce,
     period_set_closed_form,
+    period_set_exact,
     period_set_lower_bound,
 )
 from .poly import DEFAULT_SEED, format_poly, parse_poly
@@ -152,7 +153,8 @@ def _run_simulate(args, inputs) -> int:
     text = [" ".join(fmt_el(t) for t in terms)]
     rows = [["n", "term"]] + [[i, fmt_el(t)] for i, t in enumerate(terms)]
     if args.period:
-        period = period_bruteforce(rec, init)
+        budget = args.budget if args.budget is not None else default_budget()
+        period = period_bruteforce(rec, init, budget=budget)
         payload["period"] = period
         text.append(f"period: {period}")
         rows.append(["period", period])
@@ -203,6 +205,8 @@ def _run_period_set(args, inputs) -> int:
             sets[method] = list(period_set_closed_form(k, q))
         elif method == "bound":
             sets[method] = list(period_set_lower_bound(k, q))
+        elif method == "exact":
+            sets[method] = list(period_set_exact(k, q))
         else:
             sets[method] = list(
                 order_set_bruteforce(field, k, budget=budget, jobs=jobs,
@@ -250,10 +254,8 @@ def _run_ring_period_set(args, inputs) -> int:
     (ring,) = inputs
     k = args.degree
     budget = args.budget if args.budget is not None else default_budget()
-    component_sets = [
-        component_period_set(c, k, budget=budget) for c in ring.components
-    ]
-    combined = lcm_closure(component_sets)
+    component_sets = [component_period_set(c, k) for c in ring.components]
+    combined = lcm_closure(component_sets, budget=budget)
     payload = {
         "schema": SCHEMA, "command": "ring-period-set",
         "components": [c.spec() for c in ring.components], "k": k,
@@ -391,7 +393,8 @@ def _add_common(sub, *, budget=False, jobs=False, seed=False):
                      help="output format (default text)")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
-                         help="enumeration budget (default 10^6 or $PERIOD_LAB_BUDGET)")
+                         help="work budget: brute-force polynomials, lcm-closure "
+                              "pairs or walk steps (default 10^6 or $PERIOD_LAB_BUDGET)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes for brute-force enumeration "
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also measure the period")
     p_sim.add_argument("--trajectory", action="store_true",
                        help="include the state trajectory (JSON)")
-    _add_common(p_sim)
+    _add_common(p_sim, budget=True)
     p_sim.set_defaults(prepare=_prepare_simulate, run=_run_simulate)
 
     p_min = subs.add_parser("minpoly", help="minimal polynomial of a sequence prefix")
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ps = subs.add_parser("period-set", help="period set of a fixed degree")
     p_ps.add_argument("--field", required=True)
     p_ps.add_argument("--degree", type=int, required=True)
-    p_ps.add_argument("--method", choices=("closed", "bound", "bruteforce", "all"),
+    p_ps.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
                       default="closed")
     _add_common(p_ps, budget=True, jobs=True, seed=True)
     p_ps.set_defaults(prepare=_prepare_period_set, run=_run_period_set)

@@ -80,4 +80,4 @@ class CapExceeded(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured work budget."""
+    """An enumeration, lcm closure or state walk would exceed its work budget."""

@@ -1,6 +1,7 @@
 """Period sets of degree-k recurrences: divisor-set combinatorics, the
-union lower bound, exact closed forms for degrees 1-4, and a brute-force
-order-set enumeration that oracles them.
+union lower bound, exact closed forms for degrees 1-4, an exact route for
+every degree built from the orders of irreducible factors, and a
+brute-force order-set enumeration that oracles them.
 
 Degree k over F_q realizes exactly the orders of degree-k polynomials,
 so the brute-force route enumerates monic polynomials only (orders are
@@ -9,15 +10,16 @@ invariant under nonzero scalar multiples).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange
 from .ff import FieldCtx
-from .intfactor import INT64_MAX, divisor_list, split_prime_power
+from .intfactor import INT64_MAX, divisor_list, factor_integer, split_prime_power
 from .orders import poly_order
 from .poly import DEFAULT_SEED, monic_polys
 
@@ -128,6 +130,15 @@ def set_union(*sets) -> PeriodSet:
     return PeriodSet.of(out, "union")
 
 
+def _check_ceiling(k: int, q: int) -> None:
+    # q^min(k, 64) keeps a huge k cheap: q^64 - 1 is past the limit for q >= 2
+    if q ** min(k, 64) - 1 > INT64_MAX:
+        raise OutOfRange(
+            f"degree {k} over F_{q} is past the 64-bit limit: "
+            f"q^k - 1 must be at most 2^63 - 1"
+        )
+
+
 def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     """The union over 1 <= i <= k of {p^j : j <= t_i} * D(q^i - 1), with
     t_i the least t such that p^t >= floor(k/i).
@@ -137,6 +148,7 @@ def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")
+    _check_ceiling(k, q)
     p, _ = split_prime_power(q)
     out = set()
     for i in range(1, k + 1):
@@ -162,6 +174,11 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
     p^2*D(q-1) in characteristics 2 and 3, reflecting how high a power of
     p is needed to cover a repeated linear factor.
     """
+    if not 1 <= k <= 4:
+        raise DegreeOutOfRange(
+            f"no closed form for degree {k}; use the bound or brute force"
+        )
+    _check_ceiling(k, q)
     p, _ = split_prime_power(q)
     if k == 1:
         vals = divisors(q - 1)
@@ -174,7 +191,7 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
         else:
             extra = set_scale(p, divisors(q - 1))
         vals = set_union(base, extra)
-    elif k == 4:
+    else:
         vals = set_union(
             divisors(q ** 4 - 1),
             divisors(q ** 3 - 1),
@@ -182,11 +199,62 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
         )
         if p in (2, 3):
             vals = set_union(vals, set_scale(p * p, divisors(q - 1)))
-    else:
-        raise DegreeOutOfRange(
-            f"no closed form for degree {k}; use the bound or brute force"
-        )
     return PeriodSet(vals.values, "closed")
+
+
+def period_set_exact(k: int, q: int) -> PeriodSet:
+    """Exact period set of degree k over F_q, for every k.
+
+    A monic f = x^r * prod g_i^(b_i) has order lcm(ord g_i) * p^t, with
+    p^t the least power of p that is >= max b_i.  The degree-d
+    irreducibles have exactly the orders e with e | q^d - 1 and
+    ord_e(q) = d, phi(e)/d of them each (Lidl & Niederreiter, Thms 3.3,
+    3.5, 3.8).  A knapsack over these types (d, e) collects every lcm of
+    total degree <= k, powers of x filling the rest; one type may enter
+    with multiplicity p^(t-1) + 1 instead, multiplying the lcm by p^t.
+    One boost is enough, since every e is prime to p.
+    """
+    if k < 1:
+        raise OutOfRange("degree must be >= 1")
+    _check_ceiling(k, q)
+    p, _ = split_prime_power(q)
+    # reachable value -> (least degree, bitmask of the plain types' degrees)
+    best = {1: (0, 0)}
+    final = set()
+    by_degree = [[1]] + [[] for _ in range(k)]
+    divisor_sets = [set()]
+    for d in range(1, k + 1):
+        divisor_sets.append(set(divisor_list(q ** d - 1)))
+        # e has ord_e(q) = d iff e divides no q^(d/r) - 1 for r a prime of d
+        types = divisor_sets[d].difference(
+            *(divisor_sets[d // r] for r, _ in factor_integer(d)))
+        # A plain type of degree r | d merges with a type of degree d into
+        # their lcm, again a type of degree d, at less cost; so states that
+        # hold one are not extended here.
+        merges = sum(1 << r for r in range(1, d + 1) if d % r == 0)
+        found = []  # (degree, plain degrees, values), applied after degree d
+        for cost in range(k - d + 1):
+            for v in by_degree[cost]:
+                least, plain = best[v]
+                if least != cost or plain & merges:
+                    continue
+                bases = list(map(math.lcm, repeat(v), types))
+                found.append((cost + d, plain | 1 << d, bases))
+                if v % p:  # no boost yet
+                    pt, boosted = p, cost + 2 * d
+                    while boosted <= k:
+                        found.append((boosted, plain, [b * pt for b in bases]))
+                        boosted = cost + d * (pt + 1)
+                        pt *= p
+        for cost, plain, values in found:
+            if cost + d >= k:  # no later degree fits: keep the values only
+                final.update(values)
+                continue
+            for v in values:
+                if v not in best or best[v][0] > cost:
+                    best[v] = (cost, plain)
+                    by_degree[cost].append(v)
+    return PeriodSet.of(final.union(best), "exact")
 
 
 def _order_set_chunk(field: FieldCtx, k: int, start: int, stop: int,
@@ -199,8 +267,9 @@ def order_set_bruteforce(field: FieldCtx, k: int, *, budget: int | None = None,
                          jobs: int = 1, seed: int = DEFAULT_SEED) -> PeriodSet:
     """{ord(f) : f monic of degree k over the field}, by enumeration.
 
-    Exact oracle for the closed forms and the lower bound.  Work is
-    capped at `budget` polynomials (default 10^6, or PERIOD_LAB_BUDGET).
+    Exact oracle for the closed forms, the exact route and the lower
+    bound.  Work is capped at `budget` polynomials (default 10^6, or
+    PERIOD_LAB_BUDGET).
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")

@@ -24,7 +24,7 @@ from math import prod
 from .errors import BudgetExceeded, LengthMismatch, OutOfRange
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
-from .period_sets import PeriodSet, default_budget, order_set_bruteforce, period_set_closed_form
+from .period_sets import PeriodSet, default_budget, period_set_closed_form, period_set_exact
 from .poly import Poly, _mk, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
@@ -160,13 +160,20 @@ def period_over_ring(rec: Recurrence, s0, *, direct: bool = False) -> int:
     return lcm64(*component_periods(rec, s0))
 
 
-def lcm_closure(sets) -> PeriodSet:
-    """{lcm(w_1, ..., w_r) : w_i in sets[i]}."""
+def lcm_closure(sets, *, budget: int | None = None) -> PeriodSet:
+    """{lcm(w_1, ..., w_r) : w_i in sets[i]}.
+
+    With a budget, each step first checks that the closure so far times
+    the next set stays within that many lcm pairs.
+    """
     sets = list(sets)
     if not sets:
         raise OutOfRange("lcm closure of no sets")
     closure = set(sets[0])
     for s in sets[1:]:
+        pairs = len(closure) * len(s)
+        if budget is not None and pairs > budget:
+            raise BudgetExceeded(f"{pairs} lcm pairs exceed the budget {budget}")
         closure = {lcm64(a, b) for a in closure for b in s}
     return PeriodSet.of(closure, "lcm")
 
@@ -174,18 +181,20 @@ def lcm_closure(sets) -> PeriodSet:
 def period_set_over_ring(ring: ProductRing, k: int, *,
                          budget: int | None = None) -> PeriodSet:
     """Period set of degree k over the product ring, via lcm-closure of
-    the component period sets (closed forms for k <= 4, else brute force)."""
-    component_sets = [
-        component_period_set(c, k, budget=budget) for c in ring.components
-    ]
-    return lcm_closure(component_sets)
+    the component period sets, within `budget` lcm pairs (default 10^6,
+    or PERIOD_LAB_BUDGET)."""
+    if budget is None:
+        budget = default_budget()
+    component_sets = [component_period_set(c, k) for c in ring.components]
+    return lcm_closure(component_sets, budget=budget)
 
 
-def component_period_set(field: FieldCtx, k: int, *,
-                         budget: int | None = None) -> PeriodSet:
+def component_period_set(field: FieldCtx, k: int) -> PeriodSet:
+    """Degree-k period set of one component field: the paper's closed
+    forms for k <= 4, the exact type knapsack beyond."""
     if 1 <= k <= 4:
         return period_set_closed_form(k, field.q)
-    return order_set_bruteforce(field, k, budget=budget)
+    return period_set_exact(k, field.q)
 
 
 def max_period_bound(ring: ProductRing, k: int) -> int:

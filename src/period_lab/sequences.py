@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     CapExceeded,
     ConstantPolynomial,
     InsufficientPrefix,
@@ -108,19 +109,27 @@ def generate(rec: Recurrence, s0, count: int) -> list:
     return out
 
 
-def period_bruteforce(rec: Recurrence, s0) -> int:
-    """Steps until the state first returns to s0 (valid: c_0 is a unit)."""
+def period_bruteforce(rec: Recurrence, s0, *, budget: int | None = None) -> int:
+    """Steps until the state first returns to s0 (valid: c_0 is a unit).
+
+    With a budget, a period longer than that many steps raises
+    BudgetExceeded.
+    """
     start = _canonical_state(rec, s0)
     state = list(start)
     cap = rec.ctx.size ** rec.k
+    limit = cap if budget is None else min(cap, budget)
     n = 0
     while True:
         _step(rec, state)
         n += 1
         if tuple(state) == start:
             return n
-        if n > cap:
-            raise CapExceeded("state walk passed the state count (bug?)")
+        if n >= limit:
+            break
+    if limit < cap:
+        raise BudgetExceeded(f"no period within the budget of {budget} steps")
+    raise CapExceeded("state walk passed the state count (bug?)")
 
 
 def impulse_state(rec: Recurrence) -> tuple:

@@ -71,6 +71,19 @@ def test_computation_errors_exit_1(capsys):
     assert code == 1 and "budget" in err
 
 
+def test_budget_bounds_walks_and_closures(monkeypatch, capsys):
+    simulate = ("simulate", "--field", "5", "--rec", "1,1", "--init", "0,1",
+                "--terms", "2", "--period")
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "19")
+    code, _, err = run_cli(capsys, *simulate)
+    assert code == 1 and err == "error: no period within the budget of 19 steps\n"
+    code, out, _ = run_cli(capsys, *simulate, "--budget", "20")
+    assert code == 0 and out.splitlines()[-1] == "period: 20"
+    code, _, err = run_cli(capsys, "ring", "period-set", "--components", "2,5",
+                           "--degree", "3", "--budget", "69")
+    assert code == 1 and err == "error: 70 lcm pairs exceed the budget 69\n"
+
+
 def test_period_set_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "period-set", "--field", "2", "--degree", "4",

@@ -39,6 +39,9 @@ CASES = (
     "simulate --field 3 --rec 1,0,2 --init 0,0,1 --terms 7 --trajectory",
     "simulate --field 5 --rec 0,1 --init 0,1 --terms 3",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms -1",
+    # degree 40: the state walk stops at the budget, not after 2^40 steps
+    "simulate --field 2 --rec 1," + "0," * 38 + "1 --init " + "0," * 39 + "1"
+    " --terms 3 --period --budget 1000",
     "minpoly --field 2 --terms 0,1,1,0,1,1,0,1 --bound 2",
     "minpoly --field 2 --terms 0,1,1 --bound 2",
     "period-set --field 2 --degree 4",
@@ -46,11 +49,14 @@ CASES = (
     "period-set --field 2 --degree 4 --method bruteforce",
     "period-set --field 5 --degree 3 --method all",
     "period-set --field 2 --degree 7",
+    "period-set --field 2 --degree 7 --method exact",
+    "period-set --field 2^16 --degree 4",
     "period-set --field 2 --degree 25 --method bruteforce",
     "period-set --field 2^6 --degree 2 --method bruteforce --jobs 2",
     "ring period-set --components 2,3,5 --degree 2",
     "ring period-set --components 2^2,3 --degree 3",
     "ring period-set --components 2,5 --degree 5",
+    "ring period-set --components 2,5 --degree 9",
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method lcm",
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method simulate",
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method both",
@@ -58,6 +64,7 @@ CASES = (
     "--init 0|0|[0,0],1|1|[1,0] --method both",
     "ring period --components 2,5 --rec 0|1,1 --init 0|0,1|1",
     "algebra --p 2 --n 5 --max-period",
+    "algebra --p 2 --n 5 --max-period --degree 5",
     "algebra --p 2 --n 4 --max-period",
     "algebra --p 3 --n 4 --max-period --degree 2",
     "algebra --p 2 --n 1",

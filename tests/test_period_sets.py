@@ -7,11 +7,13 @@ from period_lab.errors import (
     OutOfRange,
 )
 from period_lab.ff import make_field
+from period_lab.intfactor import split_prime_power
 from period_lab.period_sets import (
     PeriodSet,
     divisors,
     order_set_bruteforce,
     period_set_closed_form,
+    period_set_exact,
     period_set_lower_bound,
     set_product,
     set_scale,
@@ -147,3 +149,66 @@ def test_parallel_matches_serial():
     serial = order_set_bruteforce(F, 4)
     parallel = order_set_bruteforce(F, 4, jobs=2)
     assert serial == parallel
+
+
+def test_exact_matches_bruteforce_grid(bruteforce_set):
+    cases = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        k = 1
+        while q ** k <= 1024:
+            exact = period_set_exact(k, q)
+            assert exact == bruteforce_set(q, k), (q, k)
+            assert exact.method == "exact"
+            cases += 1
+            k += 1
+    assert cases == 38
+
+
+def _is_prime_power(q):
+    try:
+        split_prime_power(q)
+    except NotPrimePower:
+        return False
+    return True
+
+
+def test_exact_matches_closed_forms():
+    for q in filter(_is_prime_power, range(2, 4097)):
+        for k in (1, 2, 3, 4):
+            assert period_set_exact(k, q) == period_set_closed_form(k, q), (q, k)
+
+
+def test_lower_bound_inside_exact():
+    for q in (2, 3, 4, 5):
+        for k in range(1, 13):
+            assert period_set_lower_bound(k, q).issubset(period_set_exact(k, q)), (q, k)
+    # the paper's degree-5 example: (x^2+x+1)(x^3+x+1) has order 21
+    assert 21 in period_set_exact(5, 2)
+    assert 21 not in period_set_lower_bound(5, 2)
+
+
+def test_exact_input_checks():
+    with pytest.raises(OutOfRange):
+        period_set_exact(0, 2)
+    with pytest.raises(NotPrimePower):
+        period_set_exact(5, 6)
+
+
+@pytest.mark.parametrize("route", [
+    period_set_closed_form, period_set_lower_bound, period_set_exact,
+])
+def test_sixty_four_bit_ceiling_fails_fast(route):
+    with pytest.raises(OutOfRange, match=r"degree 4 over F_65536 .* 2\^63 - 1"):
+        route(4, 2 ** 16)
+    with pytest.raises(OutOfRange, match="degree 2 over F_"):
+        route(2, 2 ** 61 - 1)
+    assert route(1, 2 ** 61 - 1) == divisors(2 ** 61 - 2)
+
+
+def test_sixty_four_bit_ceiling_huge_degree():
+    # the check must not build q^k for a huge k
+    for route in (period_set_lower_bound, period_set_exact):
+        with pytest.raises(OutOfRange, match="64-bit limit"):
+            route(10 ** 12, 2)
+    with pytest.raises(DegreeOutOfRange):
+        period_set_closed_form(10 ** 12, 2)

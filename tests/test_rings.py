@@ -12,7 +12,7 @@ from period_lab.errors import (
 )
 from period_lab.ff import make_field
 from period_lab.intfactor import lcm64
-from period_lab.period_sets import PeriodSet, period_set_closed_form
+from period_lab.period_sets import PeriodSet, period_set_closed_form, period_set_exact
 from period_lab.poly import is_irreducible, parse_poly
 from period_lab.rings import (
     component_periods,
@@ -157,6 +157,43 @@ def test_bound_chain_for_multi_component_rings():
 def test_lcm_closure_helper():
     closure = lcm_closure([PeriodSet.of([1, 2, 3]), PeriodSet.of([1, 4])])
     assert closure == {1, 2, 3, 4, 12}
+
+
+def test_lcm_closure_budget():
+    sets = [PeriodSet.of([1, 2, 3]), PeriodSet.of([1, 4]), PeriodSet.of([1, 5])]
+    # 3*2 pairs, then the 5-value closure times 2
+    assert lcm_closure(sets, budget=10) == lcm_closure(sets)
+    with pytest.raises(BudgetExceeded, match="^10 lcm pairs exceed the budget 9$"):
+        lcm_closure(sets, budget=9)
+
+
+def test_ring_period_set_budget():
+    # 8634 * 40810 pairs under the default budget: refused before any is formed
+    with pytest.raises(BudgetExceeded, match="^352353540 lcm pairs exceed the budget 1000000$"):
+        period_set_over_ring(make_product_ring([2, 3]), 30)
+    with pytest.raises(BudgetExceeded, match="^70 lcm pairs exceed the budget 69$"):
+        period_set_over_ring(make_product_ring([2, 5]), 3, budget=69)  # 5 * 14 pairs
+
+
+# F_2 + F_5 at k = 5 is pinned by cli_golden.json, recorded while that path
+# still enumerated; the component sets here are the ones the exact-route grid
+# in test_period_sets.py enumerates anyway.
+@pytest.mark.parametrize("spec,k", [("2,3", 5), ("3,2^2", 5), ("2,3", 6)])
+def test_ring_period_sets_match_bruteforce_components(bruteforce_set, spec, k):
+    ring = make_product_ring(spec.split(","))
+    oracle = lcm_closure([bruteforce_set(c.q, k) for c in ring.components])
+    assert period_set_over_ring(ring, k) == oracle
+
+
+def test_ring_period_set_does_not_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated polynomials")
+
+    monkeypatch.setattr("period_lab.period_sets.monic_polys", refuse)
+    ring = make_product_ring([2, 5])
+    pset = period_set_over_ring(ring, 9)
+    assert pset == lcm_closure([period_set_exact(9, 2), period_set_exact(9, 5)])
+    assert max(pset) == lcm64(2 ** 9 - 1, 5 ** 9 - 1)
 
 
 def test_max_period_bound():

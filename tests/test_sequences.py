@@ -4,6 +4,7 @@ import random
 import pytest
 
 from period_lab.errors import (
+    BudgetExceeded,
     CapExceeded,
     InsufficientPrefix,
     LengthMismatch,
@@ -89,6 +90,17 @@ def test_period_bruteforce_references():
     assert period_bruteforce(Recurrence(F2, (1, 1)), (0, 1)) == 3
     assert period_bruteforce(Recurrence(F5, (1, 1)), (0, 1)) == 20
     assert period_bruteforce(Recurrence(F5, (1, 1)), (0, 0)) == 1
+
+
+def test_period_bruteforce_budget():
+    fib = Recurrence(F5, (1, 1))
+    assert period_bruteforce(fib, (0, 1), budget=20) == 20
+    with pytest.raises(BudgetExceeded, match="budget of 19 steps"):
+        period_bruteforce(fib, (0, 1), budget=19)
+    # degree 40: up to 2^40 steps without a budget
+    rec = Recurrence(F2, (1,) + (0,) * 38 + (1,))
+    with pytest.raises(BudgetExceeded):
+        period_bruteforce(rec, impulse_state(rec), budget=1000)
 
 
 def test_char_poly():

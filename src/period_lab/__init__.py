@@ -67,6 +67,7 @@ from .rings import (
     max_period_bound,
     period_over_ring,
     period_set_over_ring,
+    ring_period_sets,
     verify_field_characterization,
 )
 from .sequences import (
@@ -103,6 +104,7 @@ __all__ = [
     "order_set_bruteforce", "DEFAULT_BUDGET",
     "ProductRing", "make_product_ring", "component_recurrence",
     "component_periods", "period_over_ring", "period_set_over_ring", "lcm_closure",
+    "ring_period_sets",
     "max_period_bound", "verify_field_characterization",
     "GroupAlgebra", "make_group_algebra", "group_algebra_period",
     "group_algebra_max_period",

@@ -29,12 +29,11 @@ from .period_sets import (
 from .poly import DEFAULT_SEED, format_poly, parse_poly
 from .rings import (
     GroupAlgebra,
-    component_period_set,
     component_periods,
     group_algebra_max_period,
-    lcm_closure,
     make_product_ring,
     period_over_ring,
+    ring_period_sets,
 )
 from .sequences import Recurrence, generate, minimal_poly, period_bruteforce
 from .verify import SCOPES, run_verify
@@ -206,7 +205,7 @@ def _run_period_set(args, inputs) -> int:
         elif method == "bound":
             sets[method] = list(period_set_lower_bound(k, q))
         elif method == "exact":
-            sets[method] = list(period_set_exact(k, q))
+            sets[method] = list(period_set_exact(k, q, budget=budget))
         else:
             sets[method] = list(
                 order_set_bruteforce(field, k, budget=budget, jobs=jobs,
@@ -253,9 +252,7 @@ def _prepare_ring_period_set(args):
 def _run_ring_period_set(args, inputs) -> int:
     (ring,) = inputs
     k = args.degree
-    budget = args.budget if args.budget is not None else default_budget()
-    component_sets = [component_period_set(c, k) for c in ring.components]
-    combined = lcm_closure(component_sets, budget=budget)
+    component_sets, combined = ring_period_sets(ring, k, budget=args.budget)
     payload = {
         "schema": SCHEMA, "command": "ring-period-set",
         "components": [c.spec() for c in ring.components], "k": k,
@@ -393,8 +390,9 @@ def _add_common(sub, *, budget=False, jobs=False, seed=False):
                      help="output format (default text)")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
-                         help="work budget: brute-force polynomials, lcm-closure "
-                              "pairs or walk steps (default 10^6 or $PERIOD_LAB_BUDGET)")
+                         help="work budget: brute-force polynomials, exact-route "
+                              "candidate periods, lcm-closure pairs or walk steps "
+                              "(default 10^6 or $PERIOD_LAB_BUDGET)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes for brute-force enumeration "

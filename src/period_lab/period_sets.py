@@ -202,7 +202,7 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
     return PeriodSet(vals.values, "closed")
 
 
-def period_set_exact(k: int, q: int) -> PeriodSet:
+def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     """Exact period set of degree k over F_q, for every k.
 
     A monic f = x^r * prod g_i^(b_i) has order lcm(ord g_i) * p^t, with
@@ -212,12 +212,16 @@ def period_set_exact(k: int, q: int) -> PeriodSet:
     3.5, 3.8).  A knapsack over these types (d, e) collects every lcm of
     total degree <= k, powers of x filling the rest; one type may enter
     with multiplicity p^(t-1) + 1 instead, multiplying the lcm by p^t.
-    One boost is enough, since every e is prime to p.
+    One boost is enough, since every e is prime to p.  Work is capped at
+    `budget` candidate periods formed (default 10^6, or PERIOD_LAB_BUDGET).
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")
     _check_ceiling(k, q)
+    if budget is None:
+        budget = default_budget()
     p, _ = split_prime_power(q)
+    formed = 0
     # reachable value -> (least degree, bitmask of the plain types' degrees)
     best = {1: (0, 0)}
     final = set()
@@ -239,13 +243,19 @@ def period_set_exact(k: int, q: int) -> PeriodSet:
                 if least != cost or plain & merges:
                     continue
                 bases = list(map(math.lcm, repeat(v), types))
-                found.append((cost + d, plain | 1 << d, bases))
+                entries = [(cost + d, plain | 1 << d, bases)]
                 if v % p:  # no boost yet
                     pt, boosted = p, cost + 2 * d
                     while boosted <= k:
-                        found.append((boosted, plain, [b * pt for b in bases]))
+                        entries.append((boosted, plain, [b * pt for b in bases]))
                         boosted = cost + d * (pt + 1)
                         pt *= p
+                found += entries
+                formed += len(bases) * len(entries)
+                if formed > budget:
+                    raise BudgetExceeded(
+                        f"{formed} candidate periods exceed the budget {budget}"
+                    )
         for cost, plain, values in found:
             if cost + d >= k:  # no later degree fits: keep the values only
                 final.update(values)

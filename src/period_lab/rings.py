@@ -24,7 +24,7 @@ from math import prod
 from .errors import BudgetExceeded, LengthMismatch, OutOfRange
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
-from .period_sets import PeriodSet, default_budget, period_set_closed_form, period_set_exact
+from .period_sets import PeriodSet, default_budget, period_set_exact
 from .poly import Poly, _mk, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
@@ -178,23 +178,30 @@ def lcm_closure(sets, *, budget: int | None = None) -> PeriodSet:
     return PeriodSet.of(closure, "lcm")
 
 
+def ring_period_sets(ring: ProductRing, k: int, *,
+                     budget: int | None = None) -> tuple[list[PeriodSet], PeriodSet]:
+    """The degree-k period set of each component field, and of the product
+    ring as their lcm-closure.  `budget` (default 10^6, or
+    PERIOD_LAB_BUDGET) caps the candidate periods of each component set
+    and the lcm pairs of each closure step."""
+    if budget is None:
+        budget = default_budget()
+    component_sets = [component_period_set(c, k, budget=budget)
+                      for c in ring.components]
+    return component_sets, lcm_closure(component_sets, budget=budget)
+
+
 def period_set_over_ring(ring: ProductRing, k: int, *,
                          budget: int | None = None) -> PeriodSet:
     """Period set of degree k over the product ring, via lcm-closure of
-    the component period sets, within `budget` lcm pairs (default 10^6,
-    or PERIOD_LAB_BUDGET)."""
-    if budget is None:
-        budget = default_budget()
-    component_sets = [component_period_set(c, k) for c in ring.components]
-    return lcm_closure(component_sets, budget=budget)
+    the component period sets (see ring_period_sets)."""
+    return ring_period_sets(ring, k, budget=budget)[1]
 
 
-def component_period_set(field: FieldCtx, k: int) -> PeriodSet:
-    """Degree-k period set of one component field: the paper's closed
-    forms for k <= 4, the exact type knapsack beyond."""
-    if 1 <= k <= 4:
-        return period_set_closed_form(k, field.q)
-    return period_set_exact(k, field.q)
+def component_period_set(field: FieldCtx, k: int, *,
+                         budget: int | None = None) -> PeriodSet:
+    """Degree-k period set of one component field, by the exact route."""
+    return period_set_exact(k, field.q, budget=budget)
 
 
 def max_period_bound(ring: ProductRing, k: int) -> int:

@@ -33,14 +33,13 @@ from period_lab.sequences import (
     period_bruteforce,
 )
 
-FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
-def test_criterion_01_closed_forms_equal_bruteforce():
-    for q, (p, e) in FIELDS.items():
-        field = make_field(p, e)
+def test_criterion_01_closed_forms_equal_bruteforce(bruteforce_set):
+    for q in FIELDS:
         for k in (1, 2, 3, 4):
-            brute = order_set_bruteforce(field, k)
+            brute = bruteforce_set(q, k)
             closed = period_set_closed_form(k, q)
             assert brute.values == closed.values, (q, k)
     print("PASS criterion 1: closed forms = brute force for k<=4, q in {2,3,4,5,7,8,9}")

@@ -82,6 +82,11 @@ def test_budget_bounds_walks_and_closures(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "ring", "period-set", "--components", "2,5",
                            "--degree", "3", "--budget", "69")
     assert code == 1 and err == "error: 70 lcm pairs exceed the budget 69\n"
+    for argv in (("ring", "period-set", "--components", "2", "--degree", "63"),
+                 ("period-set", "--field", "2", "--degree", "63", "--method", "exact"),
+                 ("algebra", "--p", "2", "--n", "3", "--max-period", "--degree", "63")):
+        code, _, err = run_cli(capsys, *argv)  # default budget, here 19
+        assert code == 1 and err.endswith(" candidate periods exceed the budget 19\n"), argv
 
 
 def test_period_set_json_schema(capsys):

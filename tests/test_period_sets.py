@@ -187,6 +187,17 @@ def test_lower_bound_inside_exact():
     assert 21 not in period_set_lower_bound(5, 2)
 
 
+def test_exact_budget(monkeypatch):
+    # F_2 at k = 30 forms exactly 15000 candidate periods
+    assert period_set_exact(30, 2, budget=15000) == period_set_exact(30, 2)
+    with pytest.raises(BudgetExceeded, match="candidate periods exceed the budget 14999$"):
+        period_set_exact(30, 2, budget=14999)
+    # the default budget applies without one: F_2 at k = 63 holds 2.2M periods
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "20000")
+    with pytest.raises(BudgetExceeded, match="candidate periods exceed the budget 20000$"):
+        period_set_exact(63, 2)
+
+
 def test_exact_input_checks():
     with pytest.raises(OutOfRange):
         period_set_exact(0, 2)

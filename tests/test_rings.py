@@ -25,6 +25,7 @@ from period_lab.rings import (
     max_period_bound,
     period_over_ring,
     period_set_over_ring,
+    ring_period_sets,
     sample_recurrence,
     verify_field_characterization,
 )
@@ -173,6 +174,25 @@ def test_ring_period_set_budget():
         period_set_over_ring(make_product_ring([2, 3]), 30)
     with pytest.raises(BudgetExceeded, match="^70 lcm pairs exceed the budget 69$"):
         period_set_over_ring(make_product_ring([2, 5]), 3, budget=69)  # 5 * 14 pairs
+
+
+def test_ring_period_set_budget_reaches_components(monkeypatch):
+    # one component, so no closure step could catch it: the exact route must
+    match = "^2[0-9]{4} candidate periods exceed the budget 20000$"
+    with pytest.raises(BudgetExceeded, match=match):
+        period_set_over_ring(make_product_ring([2]), 63, budget=20000)
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "20000")
+    with pytest.raises(BudgetExceeded, match=match):
+        verify_field_characterization(make_product_ring([2, 3]), 63)
+    with pytest.raises(BudgetExceeded, match=match):
+        group_algebra_max_period(make_group_algebra(2, 3), 63)  # semisimple
+
+
+def test_ring_period_sets_returns_components_and_closure():
+    ring = make_product_ring([2, 3])
+    sets, closure = ring_period_sets(ring, 5)
+    assert sets == [period_set_exact(5, 2), period_set_exact(5, 3)]
+    assert closure == lcm_closure(sets) == period_set_over_ring(ring, 5)
 
 
 # F_2 + F_5 at k = 5 is pinned by cli_golden.json, recorded while that path

@@ -1,7 +1,8 @@
 """Integer primality, factorization, and divisor helpers.
 
-Everything here is exact and deterministic: trial division up to a fixed
-budget with a fixed-increment Pollard rho fallback, so results (and
+Everything here is exact and deterministic: the twelve smallest primes
+are divided out, and what is left splits by fixed-increment Pollard rho
+until deterministic Miller-Rabin calls each part prime, so results (and
 failures) reproduce across runs.  All entry points police the 64-bit
 range the rest of the library promises.
 """
@@ -14,9 +15,18 @@ from functools import lru_cache
 from .errors import NotPrimePower, OutOfRange
 
 INT64_MAX = (1 << 63) - 1
-TRIAL_LIMIT = 10 ** 6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _check_ceiling(k: int, q: int) -> None:
+    """Raise OutOfRange unless q^k - 1 fits the 64-bit range."""
+    # q^min(k, 64) keeps a huge k cheap: q^64 - 1 is past the limit for q >= 2
+    if q ** min(k, 64) - 1 > INT64_MAX:
+        raise OutOfRange(
+            f"degree {k} over F_{q} is past the 64-bit limit: "
+            f"q^k - 1 must be at most 2^63 - 1"
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -27,13 +37,6 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
-        return True
-    if n <= TRIAL_LIMIT:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
         return True
     # Miller-Rabin with these bases is deterministic far beyond 2^63.
     d, s = n - 1, 0
@@ -69,26 +72,21 @@ def _pollard_rho(n: int) -> int:
         c += 1  # cycle collapsed without a split; restart with new increment
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def factor_integer(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((prime, exponent), ...), primes ascending.
 
-    factor_integer(1) is the empty product ().  The cache is insert-only
-    and shared; entries are immutable tuples.
+    factor_integer(1) is the empty product ().  The cache is a bounded LRU
+    shared by all callers; entries are immutable tuples.
     """
     if not isinstance(n, int) or not 1 <= n <= INT64_MAX:
         raise OutOfRange(f"factor_integer requires 1 <= n <= {INT64_MAX}, got {n!r}")
     found: dict[int, int] = {}
     rem = n
-    while rem % 2 == 0:
-        found[2] = found.get(2, 0) + 1
-        rem //= 2
-    d = 3
-    while d <= TRIAL_LIMIT and d * d <= rem:
-        while rem % d == 0:
-            found[d] = found.get(d, 0) + 1
-            rem //= d
-        d += 2
+    for p in _SMALL_PRIMES:
+        while rem % p == 0:
+            found[p] = found.get(p, 0) + 1
+            rem //= p
     if rem > 1:
         stack = [rem]
         while stack:

@@ -19,7 +19,7 @@ from .errors import (
     ZeroConstantTerm,
     ZeroPolynomial,
 )
-from .intfactor import factor_integer, lcm64
+from .intfactor import _check_ceiling, factor_integer, lcm64
 from .poly import DEFAULT_SEED, Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
 
 
@@ -53,9 +53,10 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
     return r, _mk(f.field, f.coeffs[r:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _irreducible_order(field, coeffs: tuple) -> int:
     d = len(coeffs) - 1
+    _check_ceiling(d, field.q)
     n = field.q ** d - 1
     for prime, _ in factor_integer(n):
         while n % prime == 0 and _rpowmod(field, (0, 1), n // prime, coeffs) == (1,):

@@ -19,8 +19,14 @@ from itertools import islice, repeat
 
 from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange
 from .ff import FieldCtx
-from .intfactor import INT64_MAX, divisor_list, factor_integer, split_prime_power
-from .orders import poly_order
+from .intfactor import (
+    INT64_MAX,
+    _check_ceiling,
+    divisor_list,
+    factor_integer,
+    split_prime_power,
+)
+from .orders import _char_boost, poly_order
 from .poly import DEFAULT_SEED, monic_polys
 
 DEFAULT_BUDGET = 10 ** 6
@@ -130,15 +136,6 @@ def set_union(*sets) -> PeriodSet:
     return PeriodSet.of(out, "union")
 
 
-def _check_ceiling(k: int, q: int) -> None:
-    # q^min(k, 64) keeps a huge k cheap: q^64 - 1 is past the limit for q >= 2
-    if q ** min(k, 64) - 1 > INT64_MAX:
-        raise OutOfRange(
-            f"degree {k} over F_{q} is past the 64-bit limit: "
-            f"q^k - 1 must be at most 2^63 - 1"
-        )
-
-
 def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     """The union over 1 <= i <= k of {p^j : j <= t_i} * D(q^i - 1), with
     t_i the least t such that p^t >= floor(k/i).
@@ -152,11 +149,7 @@ def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     p, _ = split_prime_power(q)
     out = set()
     for i in range(1, k + 1):
-        need = k // i
-        t, pt = 0, 1
-        while pt < need:
-            pt *= p
-            t += 1
+        t, _ = _char_boost(p, k // i)
         powers = [p ** j for j in range(t + 1)]
         for d in divisor_list(q ** i - 1):
             for pw in powers:

@@ -19,6 +19,7 @@ ignored and 't' is accepted as an alias for 'x'.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -389,12 +390,8 @@ def _rpth_root(F, a):
 def _squarefree_parts(F, f):
     """[(monic squarefree part, multiplicity), ...] for monic f, deg >= 1."""
     out = []
-    deriv = _rderiv(F, f)
-    if not deriv:
-        for part, mult in _squarefree_parts(F, _rpth_root(F, f)):
-            out.append((part, mult * F.p))
-        return out
-    c = _rgcd(F, f, deriv)
+    # a zero derivative gives c = f and w = 1: all of f is a p-th power
+    c = _rgcd(F, f, _rderiv(F, f))
     w = _rdivmod(F, f, c)[0]
     i = 1
     while len(w) > 1:
@@ -484,14 +481,8 @@ def monic_polys(field: FieldCtx, degree: int):
     order on the coefficient vector (constant term varies fastest)."""
     if degree < 0:
         raise OutOfRange("degree must be >= 0")
-    q = field.q
-    for idx in range(q ** degree):
-        cs = []
-        v = idx
-        for _ in range(degree):
-            v, r = divmod(v, q)
-            cs.append(r)
-        yield _mk(field, (*cs, 1))
+    for cs in itertools.product(range(field.q), repeat=degree):
+        yield _mk(field, (*reversed(cs), 1))
 
 
 # -- text format ----------------------------------------------------------------

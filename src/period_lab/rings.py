@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, LengthMismatch, OutOfRange
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
 from .period_sets import PeriodSet, default_budget, period_set_exact
-from .poly import Poly, _mk, factor, gcd as poly_gcd
+from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
 
@@ -300,7 +300,7 @@ class GroupAlgebra:
         return tuple(out)
 
     def is_unit(self, a) -> bool:
-        apoly = _mk(self.base, _trim_tuple(a))
+        apoly = self.to_poly(a)
         if apoly.is_zero:
             return False
         return poly_gcd(apoly, self._circulant).degree == 0
@@ -312,21 +312,16 @@ class GroupAlgebra:
         return (a for a in self.elements() if self.is_unit(a))
 
     def to_poly(self, a) -> Poly:
-        return _mk(self.base, _trim_tuple(a))
+        return _mk(self.base, _trim(a))
 
     def project(self, a) -> tuple:
         """CRT image of an element in the decomposition (semisimple only)."""
         if not self.semisimple:
             raise OutOfRange("no field decomposition: t^n - 1 has repeated factors")
         apoly = self.to_poly(a)
-        parts = []
-        for comp, modulus in zip(self.decomposition.components, self.component_moduli):
-            rem = apoly % modulus
-            if comp.e == 1:
-                parts.append(rem.constant_term)
-            else:
-                parts.append(comp.from_coeffs(rem.coeffs))
-        return tuple(parts)
+        return tuple(comp.from_coeffs((apoly % modulus).coeffs)
+                     for comp, modulus in zip(self.decomposition.components,
+                                              self.component_moduli))
 
     def project_recurrence(self, rec: Recurrence) -> Recurrence:
         return Recurrence(self.decomposition,
@@ -342,13 +337,6 @@ class GroupAlgebra:
 
     def __hash__(self):
         return hash(("GroupAlgebra", self.p, self.n))
-
-
-def _trim_tuple(a):
-    k = len(a)
-    while k and a[k - 1] == 0:
-        k -= 1
-    return tuple(a[:k])
 
 
 def make_group_algebra(p: int, n: int) -> GroupAlgebra:

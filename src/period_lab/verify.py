@@ -9,6 +9,7 @@ and group-algebra results.
 
 from __future__ import annotations
 
+import itertools as it
 import time
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .period_sets import (
     set_product,
     set_scale,
 )
-from .poly import Poly
+from .poly import Poly, monic_polys
 from .rings import (
     GroupAlgebra,
     group_algebra_max_period,
@@ -138,8 +139,6 @@ def _check_minimal_poly_degree5():
 
 def _check_oracle_agreement():
     # every monic polynomial of degree 1..3 over F_2 and F_3
-    from .poly import monic_polys
-
     mismatches = []
     for q in (2, 3):
         field = make_field(q)
@@ -211,8 +210,6 @@ def _check_lcm_closure_exhaustive():
     # every unit-c0 recurrence and every state over F_2 + F_3, degrees 1..2
     ring = make_product_ring([2, 3])
     reached = {1: set(), 2: set()}
-    import itertools as it
-
     for k in (1, 2):
         for coeffs in it.product(ring.elements(), repeat=k):
             if not ring.is_unit(coeffs[0]):

@@ -30,6 +30,8 @@ CASES = (
     "ord --field 2^2 --poly x^2+x+[0,1] --method both",
     "ord --field 6 --poly x",
     "ord --field 2 --poly x^^2",
+    # an irreducible degree-64 factor is past the 64-bit limit
+    "ord --field 2 --poly x^64+x^4+x^3+x+1",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 8 --period",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 0 --trajectory",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 1 --trajectory",

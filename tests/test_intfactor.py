@@ -54,10 +54,56 @@ def test_factor_reconstructs_and_entries_prime():
 
 
 def test_factor_pollard_path():
-    # both primes sit above the trial-division budget
+    # no small prime divides these, so Pollard rho does all the splitting
     p, q = 1_000_003, 1_000_033
     assert factor_integer(p * q) == ((p, 1), (q, 1))
     assert factor_integer(p * p) == ((p, 2),)
+
+
+def strong_probable_prime(n):
+    """Oracle: Miller-Rabin with bases known to decide every n < 2^64,
+    a base set disjoint from the one is_prime uses (apart from 2)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        x = pow(a, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_factor_past_the_small_primes():
+    # inputs whose cofactor after the twelve smallest primes is composite:
+    # prime squares and cubes, semiprimes with a factor in (41, 10^6), two
+    # primes near 2^31, and every q^d - 1 in range for prime powers q <= 64
+    mid = (43, 1009, 65537, 999983)
+    values = [p ** e for p in mid for e in (2, 3)]
+    values += [p * big for p in mid for big in (47, 999979, 2 ** 31 - 1, 10 ** 9 + 7)]
+    values.append((2 ** 31 - 1) * (2 ** 31 - 19))
+    for q in range(2, 65):
+        if len(naive_factor(q)) == 1:
+            d = 1
+            while q ** d - 1 <= INT64_MAX:
+                values.append(q ** d - 1)
+                d += 1
+    for n in values:
+        fac = factor_integer(n)
+        prod = 1
+        for p, e in fac:
+            assert strong_probable_prime(p), (n, p)
+            prod *= p ** e
+        assert prod == n
+        assert list(fac) == sorted(fac)
 
 
 def test_factor_range_errors():
@@ -71,6 +117,11 @@ def test_is_prime():
     assert [n for n in range(100) if is_prime(n)] == primes_below_100
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 62 - 1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        assert is_prime(n) == (n > 1 and naive_factor(n) == ((n, 1),)), n
 
 
 def test_divisor_list():

@@ -4,13 +4,15 @@ import pytest
 
 from period_lab.errors import (
     LimitExceeded,
+    OutOfRange,
     ReduciblePolynomial,
     ZeroConstantTerm,
     ZeroPolynomial,
 )
 from period_lab.ff import make_field
-from period_lab.intfactor import euler_phi, lcm64
+from period_lab.intfactor import euler_phi, factor_integer, lcm64
 from period_lab.orders import (
+    _irreducible_order,
     irreducible_order,
     poly_order,
     poly_order_bruteforce,
@@ -59,6 +61,20 @@ def test_irreducible_order_references():
         irreducible_order(parse_poly(F2, "x^2+1"))
     with pytest.raises(ZeroConstantTerm):
         irreducible_order(Poly.x(F2))
+
+
+def test_sixty_four_bit_ceiling():
+    # the limit applies to each irreducible factor, not to the input
+    big = parse_poly(F2, "x^64+x^4+x^3+x+1")
+    assert is_irreducible(big)
+    with pytest.raises(OutOfRange, match="degree 64 over F_2 is past the 64-bit limit"):
+        poly_order(big)
+    assert poly_order(parse_poly(F2, "x^64+x+1")).order == 4095
+
+
+def test_caches_are_bounded():
+    for cached in (factor_integer, _irreducible_order):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_irreducible_order_divides_group_order():

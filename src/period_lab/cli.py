@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .ff import parse_field_spec
@@ -26,7 +25,7 @@ from .period_sets import (
     period_set_exact,
     period_set_lower_bound,
 )
-from .poly import DEFAULT_SEED, format_poly, parse_poly
+from .poly import format_poly, parse_poly
 from .rings import (
     GroupAlgebra,
     component_periods,
@@ -88,7 +87,7 @@ def _run_ord(args, inputs) -> int:
                "method": args.method}
     text, rows = [], [["method", "order"]]
     if args.method in ("pipeline", "both"):
-        result = poly_order(f, seed=args.seed)
+        result = poly_order(f)
         payload["order"] = result.order
         text.append(f"pipeline: {result.order}" if args.method == "both"
                     else str(result.order))
@@ -195,8 +194,6 @@ def _prepare_period_set(args):
 def _run_period_set(args, inputs) -> int:
     (field,) = inputs
     k, q = args.degree, field.q
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    budget = args.budget if args.budget is not None else default_budget()
     methods = ["closed", "bound", "bruteforce"] if args.method == "all" else [args.method]
     sets = {}
     for method in methods:
@@ -205,12 +202,9 @@ def _run_period_set(args, inputs) -> int:
         elif method == "bound":
             sets[method] = list(period_set_lower_bound(k, q))
         elif method == "exact":
-            sets[method] = list(period_set_exact(k, q, budget=budget))
+            sets[method] = list(period_set_exact(k, q, budget=args.budget))
         else:
-            sets[method] = list(
-                order_set_bruteforce(field, k, budget=budget, jobs=jobs,
-                                     seed=args.seed)
-            )
+            sets[method] = list(order_set_bruteforce(field, k, budget=args.budget))
     base = {"schema": SCHEMA, "command": "period-set",
             "q": q, "p": field.p, "e": field.e, "k": k}
     if args.method == "all":
@@ -314,7 +308,6 @@ def _prepare_algebra(args):
 
 def _run_algebra(args, inputs) -> int:
     (ga,) = inputs
-    budget = args.budget if args.budget is not None else default_budget()
     payload = {
         "schema": SCHEMA, "command": "algebra", "p": ga.p, "n": ga.n,
         "factors": [
@@ -341,7 +334,7 @@ def _run_algebra(args, inputs) -> int:
             ["factor_count", payload["factor_count"]]]
     if args.max_period:
         k = args.degree or 1
-        maxp = group_algebra_max_period(ga, k, budget=budget)
+        maxp = group_algebra_max_period(ga, k, budget=args.budget)
         payload["degree"] = k
         payload["max_period"] = maxp
         text.append(f"max period (degree {k}): {maxp}")
@@ -385,7 +378,7 @@ def _run_verify_cmd(args, inputs) -> int:
 
 # -- parser wiring ---------------------------------------------------------------------
 
-def _add_common(sub, *, budget=False, jobs=False, seed=False):
+def _add_common(sub, *, budget=False):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
                      help="output format (default text)")
     if budget:
@@ -393,13 +386,6 @@ def _add_common(sub, *, budget=False, jobs=False, seed=False):
                          help="work budget: brute-force polynomials, exact-route "
                               "candidate periods, lcm-closure pairs or walk steps "
                               "(default 10^6 or $PERIOD_LAB_BUDGET)")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for brute-force enumeration "
-                              "(0 = all cores)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help="seed for the randomized factorization steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="pipeline")
     p_ord.add_argument("--explain", action="store_true",
                        help="include the per-factor ledger")
-    _add_common(p_ord, seed=True)
+    _add_common(p_ord)
     p_ord.set_defaults(prepare=_prepare_ord, run=_run_ord)
 
     p_sim = subs.add_parser("simulate", help="generate a recurrence sequence")
@@ -446,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ps.add_argument("--degree", type=int, required=True)
     p_ps.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
                       default="closed")
-    _add_common(p_ps, budget=True, jobs=True, seed=True)
+    _add_common(p_ps, budget=True)
     p_ps.set_defaults(prepare=_prepare_period_set, run=_run_period_set)
 
     p_ring = subs.add_parser("ring", help="product-of-fields computations")

@@ -20,7 +20,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .intfactor import _check_ceiling, factor_integer, lcm64
-from .poly import DEFAULT_SEED, Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
+from .poly import Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def prime_power_order(g: Poly, b: int) -> int:
     return e * pt
 
 
-def poly_order(f: Poly, seed: int = DEFAULT_SEED) -> OrderResult:
+def poly_order(f: Poly) -> OrderResult:
     """Order of any nonzero f, with the full per-factor ledger."""
     r, g = strip_x_power(f)
     if g.degree == 0:
@@ -98,7 +98,7 @@ def poly_order(f: Poly, seed: int = DEFAULT_SEED) -> OrderResult:
     p = f.field.p
     entries = []
     order = 1
-    for irr, mult in factor(g, seed=seed):
+    for irr, mult in factor(g):
         e = _irreducible_order(irr.field, irr.coeffs)
         t, pt = _char_boost(p, mult)
         contribution = e * pt

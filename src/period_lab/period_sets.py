@@ -5,17 +5,17 @@ brute-force order-set enumeration that oracles them.
 
 Degree k over F_q realizes exactly the orders of degree-k polynomials,
 so the brute-force route enumerates monic polynomials only (orders are
-invariant under nonzero scalar multiples).
+invariant under nonzero scalar multiples), in one serial pass: it is an
+oracle for small (q, k), and the exact route answers everything else.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 
 from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange
 from .ff import FieldCtx
@@ -27,7 +27,7 @@ from .intfactor import (
     split_prime_power,
 )
 from .orders import _char_boost, poly_order
-from .poly import DEFAULT_SEED, monic_polys
+from .poly import monic_polys
 
 DEFAULT_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "PERIOD_LAB_BUDGET"
@@ -260,15 +260,10 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     return PeriodSet.of(final.union(best), "exact")
 
 
-def _order_set_chunk(field: FieldCtx, k: int, start: int, stop: int,
-                     seed: int) -> frozenset:
-    return frozenset(poly_order(f, seed=seed).order
-                     for f in islice(monic_polys(field, k), start, stop))
-
-
-def order_set_bruteforce(field: FieldCtx, k: int, *, budget: int | None = None,
-                         jobs: int = 1, seed: int = DEFAULT_SEED) -> PeriodSet:
-    """{ord(f) : f monic of degree k over the field}, by enumeration.
+def order_set_bruteforce(field: FieldCtx, k: int, *,
+                         budget: int | None = None) -> PeriodSet:
+    """{ord(f) : f monic of degree k over the field}, by one serial pass
+    over the monic polynomials.
 
     Exact oracle for the closed forms, the exact route and the lower
     bound.  Work is capped at `budget` polynomials (default 10^6, or
@@ -281,14 +276,5 @@ def order_set_bruteforce(field: FieldCtx, k: int, *, budget: int | None = None,
     total = field.q ** k
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed the budget {budget}")
-    if jobs > 1 and total >= 4096:
-        chunk = -(-total // jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_order_set_chunk, field, k, lo, min(lo + chunk, total), seed)
-                for lo in range(0, total, chunk)
-            ]
-            out = frozenset().union(*(fut.result() for fut in futures))
-    else:
-        out = _order_set_chunk(field, k, 0, total, seed)
-    return PeriodSet.of(out, "bruteforce")
+    return PeriodSet.of((poly_order(f).order for f in monic_polys(field, k)),
+                        "bruteforce")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,29 @@ def test_budget_bounds_walks_and_closures(monkeypatch, capsys):
                  ("algebra", "--p", "2", "--n", "3", "--max-period", "--degree", "63")):
         code, _, err = run_cli(capsys, *argv)  # default budget, here 19
         assert code == 1 and err.endswith(" candidate periods exceed the budget 19\n"), argv
+
+
+def test_bad_budget_env_only_fails_budgeted_routes(monkeypatch, capsys):
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "abc")
+    for argv in (("period-set", "--field", "2", "--degree", "4"),
+                 ("algebra", "--p", "2", "--n", "5")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+    for argv in (("period-set", "--field", "2", "--degree", "4", "--method", "exact"),
+                 ("ring", "period-set", "--components", "2,3", "--degree", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "error: bad PERIOD_LAB_BUDGET value 'abc'\n", argv
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys, period_lab.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"
 
 
 def test_period_set_json_schema(capsys):

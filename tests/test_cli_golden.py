@@ -54,7 +54,7 @@ CASES = (
     "period-set --field 2 --degree 7 --method exact",
     "period-set --field 2^16 --degree 4",
     "period-set --field 2 --degree 25 --method bruteforce",
-    "period-set --field 2^6 --degree 2 --method bruteforce --jobs 2",
+    "period-set --field 2^2 --degree 3 --method bruteforce",
     "ring period-set --components 2,3,5 --degree 2",
     "ring period-set --components 2^2,3 --degree 3",
     "ring period-set --components 2,5 --degree 5",

@@ -144,13 +144,6 @@ def test_model_independence():
     assert order_set_bruteforce(default, 2) == order_set_bruteforce(alt, 2)
 
 
-def test_parallel_matches_serial():
-    F = make_field(3, 2)
-    serial = order_set_bruteforce(F, 4)
-    parallel = order_set_bruteforce(F, 4, jobs=2)
-    assert serial == parallel
-
-
 def test_exact_matches_bruteforce_grid(bruteforce_set):
     cases = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):

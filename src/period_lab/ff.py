@@ -28,7 +28,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-from .intfactor import factor_integer, is_prime
+from .intfactor import factor_integer, is_prime, order_from_multiple
 
 MAX_CHARACTERISTIC = 1 << 20
 _LOG_TABLE_LIMIT = 4096  # exp/log tables for extension fields up to this order
@@ -61,16 +61,24 @@ class FieldCtx:
         self.sub = lambda a, b: (a - b) % p
         self.neg = lambda a: -a % p
         self.mul = lambda a, b: a * b % p
+        self._install_powers(lambda a, n: pow(a, n, p))
+
+    def _install_powers(self, unit_pow):
+        """Set inv and pow from unit_pow(a, n) = a^n, for a != 0 and
+        0 <= n < q - 1; the checks and the a = 0 rule live only here."""
+        m = self.q - 1
 
         def inv(a):
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(a, p - 2, p)
+            return unit_pow(a, m - 1)
 
         def powf(a, n):
             if n < 0:
                 raise OutOfRange("negative exponent; use inv() explicitly")
-            return pow(a, n, p)
+            if a == 0:
+                return 0 if n else 1
+            return unit_pow(a, n % m)
 
         self.inv = inv
         self.pow = powf
@@ -162,38 +170,10 @@ class FieldCtx:
                 log_t[v] = i
             exp2 = exp_t + exp_t  # doubled so products of logs need no reduction
             self.mul = lambda a, b: exp2[log_t[a] + log_t[b]] if a and b else 0
-
-            def inv(a):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return exp2[q - 1 - log_t[a]]
-
-            def powf(a, n):
-                if n < 0:
-                    raise OutOfRange("negative exponent; use inv() explicitly")
-                if a == 0:
-                    return 1 if n == 0 else 0
-                return exp_t[log_t[a] * n % (q - 1)]
-
-            self.inv = inv
-            self.pow = powf
+            self._install_powers(lambda a, n: exp_t[log_t[a] * n % (q - 1)])
         else:
             self.mul = raw_mul
-
-            def inv(a):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return raw_pow(a, q - 2)
-
-            def powf(a, n):
-                if n < 0:
-                    raise OutOfRange("negative exponent; use inv() explicitly")
-                if a == 0:
-                    return 1 if n == 0 else 0
-                return raw_pow(a, n % (q - 1)) if n else 1
-
-            self.inv = inv
-            self.pow = powf
+            self._install_powers(raw_pow)
 
     # -- element plumbing -----------------------------------------------------
 
@@ -244,11 +224,8 @@ class FieldCtx:
         """Smallest n >= 1 with a^n = 1; divides q - 1."""
         if a == 0:
             raise ZeroElement("zero has no multiplicative order")
-        n = self.q - 1
-        for prime, _ in factor_integer(n):
-            while n % prime == 0 and self.pow(a, n // prime) == 1:
-                n //= prime
-        return n
+        return order_from_multiple(factor_integer(self.q - 1),
+                                   lambda n: self.pow(a, n) == 1)
 
     # -- text formats ----------------------------------------------------------
 

@@ -109,6 +109,26 @@ def divisor_list(n: int) -> list[int]:
     return sorted(divs)
 
 
+def order_from_multiple(factored_multiple, is_identity_power) -> int:
+    """Order of an element from a multiple n of it, given n factored as
+    ((prime, exponent), ...): the least divisor d of n with
+    is_identity_power(d), which is only ever called on divisors of n.
+
+    Each prime is divided out of n while the element's power still
+    equals the identity, so factor_integer(q - 1) and a field power give
+    a multiplicative order; the empty factorization gives 1.
+    """
+    n = 1
+    for prime, exp in factored_multiple:
+        n *= prime ** exp
+    for prime, exp in factored_multiple:
+        for _ in range(exp):
+            if not is_identity_power(n // prime):
+                break
+            n //= prime
+    return n
+
+
 def euler_phi(n: int) -> int:
     out = 1
     for prime, exp in factor_integer(n):

@@ -19,7 +19,7 @@ from .errors import (
     ZeroConstantTerm,
     ZeroPolynomial,
 )
-from .intfactor import _check_ceiling, factor_integer, lcm64
+from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
 from .poly import Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
 
 
@@ -57,11 +57,10 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
 def _irreducible_order(field, coeffs: tuple) -> int:
     d = len(coeffs) - 1
     _check_ceiling(d, field.q)
-    n = field.q ** d - 1
-    for prime, _ in factor_integer(n):
-        while n % prime == 0 and _rpowmod(field, (0, 1), n // prime, coeffs) == (1,):
-            n //= prime
-    return n
+    return order_from_multiple(
+        factor_integer(field.q ** d - 1),
+        lambda n: _rpowmod(field, (0, 1), n, coeffs) == (1,),
+    )
 
 
 def irreducible_order(g: Poly) -> int:

@@ -45,19 +45,17 @@ def default_budget() -> int:
 
 @dataclass(frozen=True)
 class PeriodSet:
-    """Sorted deduplicated set of achievable periods, tagged with how it
-    was produced ("closed", "bound", "bruteforce", "lcm", ...).  Equality
-    ignores the tag."""
+    """Sorted deduplicated set of achievable periods; compares equal to
+    any set, tuple or list holding the same values."""
 
     values: tuple[int, ...]
-    method: str = ""
 
     @classmethod
-    def of(cls, iterable, method: str = "") -> "PeriodSet":
+    def of(cls, iterable) -> "PeriodSet":
         vals = sorted(set(iterable))
         if vals and vals[0] < 1:
             raise OutOfRange("periods are positive integers")
-        return cls(tuple(vals), method)
+        return cls(tuple(vals))
 
     def __iter__(self):
         return iter(self.values)
@@ -89,8 +87,7 @@ class PeriodSet:
         return hash(self.values)
 
     def __repr__(self):
-        tag = f", method={self.method!r}" if self.method else ""
-        return f"PeriodSet({list(self.values)}{tag})"
+        return f"PeriodSet({list(self.values)})"
 
 
 def _as_frozenset(other) -> frozenset:
@@ -101,7 +98,7 @@ def _as_frozenset(other) -> frozenset:
 
 def divisors(n: int) -> PeriodSet:
     """All positive divisors of n."""
-    return PeriodSet(tuple(divisor_list(n)), "divisors")
+    return PeriodSet(tuple(divisor_list(n)))
 
 
 def set_scale(a: int, s: PeriodSet) -> PeriodSet:
@@ -114,7 +111,7 @@ def set_scale(a: int, s: PeriodSet) -> PeriodSet:
         if v > INT64_MAX:
             raise OverflowError("scaled period exceeds the 64-bit range")
         out.append(v)
-    return PeriodSet(tuple(out), "scaled")  # order preserved: a*x is monotone
+    return PeriodSet(tuple(out))  # order preserved: a*x is monotone
 
 
 def set_product(s1: PeriodSet, s2: PeriodSet) -> PeriodSet:
@@ -126,14 +123,14 @@ def set_product(s1: PeriodSet, s2: PeriodSet) -> PeriodSet:
             if v > INT64_MAX:
                 raise OverflowError("period product exceeds the 64-bit range")
             out.add(v)
-    return PeriodSet.of(out, "product")
+    return PeriodSet.of(out)
 
 
 def set_union(*sets) -> PeriodSet:
     out = set()
     for s in sets:
         out.update(s)
-    return PeriodSet.of(out, "union")
+    return PeriodSet.of(out)
 
 
 def period_set_lower_bound(k: int, q: int) -> PeriodSet:
@@ -147,17 +144,12 @@ def period_set_lower_bound(k: int, q: int) -> PeriodSet:
         raise OutOfRange("degree must be >= 1")
     _check_ceiling(k, q)
     p, _ = split_prime_power(q)
-    out = set()
+    parts = []
     for i in range(1, k + 1):
         t, _ = _char_boost(p, k // i)
-        powers = [p ** j for j in range(t + 1)]
-        for d in divisor_list(q ** i - 1):
-            for pw in powers:
-                v = pw * d
-                if v > INT64_MAX:
-                    raise OverflowError("period exceeds the 64-bit range")
-                out.add(v)
-    return PeriodSet.of(out, "bound")
+        powers = PeriodSet(tuple(p ** j for j in range(t + 1)))
+        parts.append(set_product(powers, divisors(q ** i - 1)))
+    return set_union(*parts)
 
 
 def period_set_closed_form(k: int, q: int) -> PeriodSet:
@@ -192,7 +184,7 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
         )
         if p in (2, 3):
             vals = set_union(vals, set_scale(p * p, divisors(q - 1)))
-    return PeriodSet(vals.values, "closed")
+    return vals
 
 
 def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
@@ -257,7 +249,7 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
                 if v not in best or best[v][0] > cost:
                     best[v] = (cost, plain)
                     by_degree[cost].append(v)
-    return PeriodSet.of(final.union(best), "exact")
+    return PeriodSet.of(final.union(best))
 
 
 def order_set_bruteforce(field: FieldCtx, k: int, *,
@@ -276,5 +268,4 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     total = field.q ** k
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed the budget {budget}")
-    return PeriodSet.of((poly_order(f).order for f in monic_polys(field, k)),
-                        "bruteforce")
+    return PeriodSet.of(poly_order(f).order for f in monic_polys(field, k))

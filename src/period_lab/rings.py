@@ -77,13 +77,6 @@ class ProductRing:
     def units(self):
         return itertools.product(*(range(1, c.q) for c in self.components))
 
-    def project(self, a, i: int):
-        """Component i (0-based) of an element."""
-        return a[i]
-
-    def project_sequence(self, seq, i: int) -> list:
-        return [a[i] for a in seq]
-
     def format_element(self, a) -> str:
         return "|".join(c.format_element(x) for c, x in zip(self.components, a))
 
@@ -175,7 +168,7 @@ def lcm_closure(sets, *, budget: int | None = None) -> PeriodSet:
         if budget is not None and pairs > budget:
             raise BudgetExceeded(f"{pairs} lcm pairs exceed the budget {budget}")
         closure = {lcm64(a, b) for a in closure for b in s}
-    return PeriodSet.of(closure, "lcm")
+    return PeriodSet.of(closure)
 
 
 def ring_period_sets(ring: ProductRing, k: int, *,

@@ -145,7 +145,8 @@ def test_extension_arithmetic_f4():
 
 def test_extension_matches_coordinate_oracle():
     rng = random.Random(7)
-    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3)):
+    # F_2^13 and F_3^8 are past the log-table limit: coordinate arithmetic
+    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3), (2, 13), (3, 8)):
         F = make_field(p, e)
         for _ in range(200):
             a, b = rng.randrange(F.q), rng.randrange(F.q)
@@ -161,7 +162,7 @@ def test_extension_matches_coordinate_oracle():
 
 
 def test_large_extension_field_untabled():
-    # 7^4 = 2401 sits above the add-table threshold; same code paths must hold
+    # 7^4 = 2401 is past the add-table limit but still has log tables
     F = make_field(7, 4)
     rng = random.Random(3)
     for _ in range(50):
@@ -170,6 +171,33 @@ def test_large_extension_field_untabled():
         assert F.mul(a, b) == F.mul(b, a)
         assert F.sub(F.add(a, b), b) == a
     assert F.pow(3, F.q - 1) == 1
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 8), (2, 13)])
+def test_inv_pow_order_each_arithmetic_path(p, e):
+    # one field per path: prime residues, log tables, coordinate arithmetic
+    F = make_field(p, e)
+    rng = random.Random(17)
+    units = list(F.units()) if F.q <= 256 else [1, rng.randrange(2, F.q)]
+    for a in units:
+        # oracle: the walk 1, a, a^2, ... back to 1
+        powers = [1]
+        while True:
+            powers.append(F.mul(powers[-1], a))
+            if powers[-1] == 1:
+                break
+        assert F.multiplicative_order(a) == len(powers) - 1
+        for i in rng.sample(range(len(powers)), min(len(powers), 20)):
+            assert F.pow(a, i) == powers[i]
+            assert F.pow(a, i + F.q - 1) == powers[i]
+        assert F.pow(a, F.q - 1) == 1
+        assert F.mul(a, F.inv(a)) == 1
+    assert F.pow(0, 0) == 1
+    assert F.pow(0, 1) == 0 and F.pow(0, F.q - 1) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(OutOfRange):
+        F.pow(2, -1)
 
 
 def test_field_axioms_random_triples():

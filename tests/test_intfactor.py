@@ -8,6 +8,7 @@ from period_lab.intfactor import (
     factor_integer,
     is_prime,
     lcm64,
+    order_from_multiple,
     split_prime_power,
 )
 
@@ -140,6 +141,40 @@ def test_euler_phi():
 
     for n in (1, 2, 12, 15, 31, 100):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_order_from_multiple_empty_factorization():
+    def never(d):
+        raise AssertionError(f"predicate called with {d}")
+
+    assert order_from_multiple((), never) == 1
+
+
+def test_order_from_multiple_asks_only_divisors():
+    asked = []
+
+    def is_identity_power(d):
+        asked.append(d)
+        return d % 12 == 0  # an element of order 12
+
+    assert order_from_multiple(factor_integer(720), is_identity_power) == 12
+    assert asked and all(720 % d == 0 for d in asked)
+
+
+def test_order_from_multiple_matches_walk():
+    # oracle: the least d with a^d = 1 mod m, by walking powers of a
+    from math import gcd
+
+    for m in range(2, 201):
+        fac = factor_integer(euler_phi(m))
+        for a in range(1, m):
+            if gcd(a, m) != 1:
+                continue
+            d, x = 1, a
+            while x != 1:
+                x = x * a % m
+                d += 1
+            assert order_from_multiple(fac, lambda n: pow(a, n, m) == 1) == d, (a, m)
 
 
 def test_lcm64():

@@ -39,12 +39,12 @@ def test_set_combinators():
 
 
 def test_period_set_semantics():
-    s = PeriodSet.of([3, 1, 2, 3], "x")
+    s = PeriodSet.of([3, 1, 2, 3])
     assert s.values == (1, 2, 3)
     assert 2 in s and 5 not in s
     assert len(s) == 3
     assert s == {1, 2, 3} and s == [1, 2, 3]
-    assert s == PeriodSet.of([1, 2, 3], "y")  # the tag is metadata only
+    assert s == PeriodSet.of([1, 2, 3])
     assert s.issubset({1, 2, 3, 4})
     assert s.as_set() is s.as_set()  # built once, shared by `in` and ==
     with pytest.raises(OutOfRange):
@@ -151,7 +151,6 @@ def test_exact_matches_bruteforce_grid(bruteforce_set):
         while q ** k <= 1024:
             exact = period_set_exact(k, q)
             assert exact == bruteforce_set(q, k), (q, k)
-            assert exact.method == "exact"
             cases += 1
             k += 1
     assert cases == 38

@@ -59,11 +59,8 @@ def test_ring_element_plumbing():
     ring = make_product_ring([2, 3, 5])
     assert ring.element(7) == (1, 1, 2)  # diagonal embedding
     assert ring.element((1, 2, 4)) == (1, 2, 4)
-    assert ring.project((1, 2, 4), 1) == 2
     with pytest.raises(LengthMismatch):
         ring.element((1, 2))
-    seq = [(0, 1, 2), (1, 2, 3)]
-    assert ring.project_sequence(seq, 2) == [2, 3]
     assert ring.parse_element("1|2|4") == (1, 2, 4)
     assert ring.parse_element("7") == (1, 1, 2)
     assert ring.format_element((1, 2, 4)) == "1|2|4"

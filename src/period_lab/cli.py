@@ -112,7 +112,8 @@ def _run_ord(args, inputs) -> int:
                     f"contribution {c.contribution}"
                 )
     if args.method in ("bruteforce", "both"):
-        brute = poly_order_bruteforce(f)
+        budget = args.budget if args.budget is not None else default_budget()
+        brute = poly_order_bruteforce(f, budget=budget)
         payload["bruteforce"] = brute
         text.append(f"bruteforce: {brute}" if args.method == "both" else str(brute))
         rows.append(["bruteforce", brute])
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="pipeline")
     p_ord.add_argument("--explain", action="store_true",
                        help="include the per-factor ledger")
-    _add_common(p_ord)
+    _add_common(p_ord, budget=True)
     p_ord.set_defaults(prepare=_prepare_ord, run=_run_ord)
 
     p_sim = subs.add_parser("simulate", help="generate a recurrence sequence")

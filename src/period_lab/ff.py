@@ -35,6 +35,32 @@ _LOG_TABLE_LIMIT = 4096  # exp/log tables for extension fields up to this order
 _ADD_TABLE_LIMIT = 256   # full addition table below this (odd characteristic)
 
 
+# -- carry-less arithmetic: polynomials over F_2 packed into int bit vectors --
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two bit vectors (bit i = coefficient of x^i)."""
+    if a == b:  # a square spreads the bits: coefficient i moves to 2i
+        return int("0".join(format(a, "b")), 2)
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    out = 0
+    while b:
+        low = b & -b  # one xor of a shifted copy per set bit of b
+        out ^= a * low
+        b ^= low
+    return out
+
+
+def _clmod(a: int, m: int) -> int:
+    """Remainder of the carry-less division of a by m != 0."""
+    dm = m.bit_length()
+    shift = a.bit_length() - dm
+    while shift >= 0:
+        a ^= m << shift
+        shift = a.bit_length() - dm
+    return a
+
+
 class FieldCtx:
     """The finite field F_{p^e}.  Construct via make_field()."""
 

@@ -100,13 +100,18 @@ def factor_integer(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found.items()))
 
 
-def divisor_list(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+def _divisors(n: int) -> list[int]:
+    """All positive divisors of n, in no particular order."""
     divs = [1]
     for prime, exp in factor_integer(n):
         powers = [prime ** j for j in range(1, exp + 1)]
         divs += [d * pw for d in divs for pw in powers]
-    return sorted(divs)
+    return divs
+
+
+def divisor_list(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    return sorted(_divisors(n))
 
 
 def order_from_multiple(factored_multiple, is_identity_power) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     LimitExceeded,
     ReduciblePolynomial,
     ZeroConstantTerm,
@@ -106,12 +107,14 @@ def poly_order(f: Poly) -> OrderResult:
     return OrderResult(order, r, tuple(entries))
 
 
-def poly_order_bruteforce(f: Poly, limit: int | None = None) -> int:
+def poly_order_bruteforce(f: Poly, limit: int | None = None, *,
+                          budget: int | None = None) -> int:
     """Least n with g | x^n - 1, found by walking h <- x*h mod g.
 
     Independent of the factorization pipeline.  The default limit is the
     provable bound q^deg(g) - 1; passing it raises LimitExceeded, which
-    signals a bug rather than a hard input.
+    signals a bug rather than a hard input.  A `budget` below the limit
+    caps the walk at that many steps and raises BudgetExceeded past it.
     """
     r, g = strip_x_power(f)
     if g.degree == 0:
@@ -120,6 +123,7 @@ def poly_order_bruteforce(f: Poly, limit: int | None = None) -> int:
     gcs = _rmonic(F, g.coeffs)
     d = len(gcs) - 1
     cap = limit if limit is not None else F.q ** d - 1
+    steps = cap if budget is None else min(cap, budget)
     mul, sub, neg = F.mul, F.sub, F.neg
     if d == 1:
         h = [neg(gcs[0])]
@@ -128,7 +132,7 @@ def poly_order_bruteforce(f: Poly, limit: int | None = None) -> int:
         h[1] = 1
     one = [1] + [0] * (d - 1)
     n = 1
-    while n <= cap:
+    while n <= steps:
         if h == one:
             return n
         carry = h[-1]
@@ -140,4 +144,6 @@ def poly_order_bruteforce(f: Poly, limit: int | None = None) -> int:
                 if gcs[i]:
                     h[i] = sub(h[i], mul(carry, gcs[i]))
         n += 1
+    if steps < cap:
+        raise BudgetExceeded(f"no order within the budget of {budget} steps")
     raise LimitExceeded(f"no order found within {cap} steps (bug?)")

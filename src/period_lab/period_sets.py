@@ -22,6 +22,7 @@ from .ff import FieldCtx
 from .intfactor import (
     INT64_MAX,
     _check_ceiling,
+    _divisors,
     divisor_list,
     factor_integer,
     split_prime_power,
@@ -165,26 +166,17 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
         )
     _check_ceiling(k, q)
     p, _ = split_prime_power(q)
-    if k == 1:
-        vals = divisors(q - 1)
-    elif k == 2:
-        vals = set_union(divisors(q ** 2 - 1), set_scale(p, divisors(q - 1)))
-    elif k == 3:
-        base = set_union(divisors(q ** 3 - 1), divisors(q ** 2 - 1))
-        if p == 2:
-            extra = set_product(PeriodSet((2, 4)), divisors(q - 1))
-        else:
-            extra = set_scale(p, divisors(q - 1))
-        vals = set_union(base, extra)
-    else:
-        vals = set_union(
-            divisors(q ** 4 - 1),
-            divisors(q ** 3 - 1),
-            set_scale(p, divisors(q ** 2 - 1)),
-        )
-        if p in (2, 3):
-            vals = set_union(vals, set_scale(p * p, divisors(q - 1)))
-    return vals
+    # the union of a * D(q^i - 1) over these (i, (a, ...))
+    parts = {1: [(1, (1,))],
+             2: [(2, (1,)), (1, (p,))],
+             3: [(3, (1,)), (2, (1,)), (1, (2, 4) if p == 2 else (p,))],
+             4: [(4, (1,)), (3, (1,)), (2, (p,))] + ([(1, (p * p,))] if p in (2, 3) else [])}[k]
+    vals = set()
+    for i, scales in parts:
+        divs = _divisors(q ** i - 1)
+        for a in scales:
+            vals.update(map(a.__mul__, divs))
+    return PeriodSet.of(vals)
 
 
 def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
@@ -213,7 +205,7 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     by_degree = [[1]] + [[] for _ in range(k)]
     divisor_sets = [set()]
     for d in range(1, k + 1):
-        divisor_sets.append(set(divisor_list(q ** d - 1)))
+        divisor_sets.append(set(_divisors(q ** d - 1)))
         # e has ord_e(q) = d iff e divides no q^(d/r) - 1 for r a prime of d
         types = divisor_sets[d].difference(
             *(divisor_sets[d // r] for r, _ in factor_integer(d)))

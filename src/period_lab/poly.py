@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .ff import FieldCtx
+from .ff import FieldCtx, _clmod, _clmul
 from .intfactor import factor_integer
 
 DEFAULT_SEED = 1
@@ -117,20 +117,72 @@ def _rgcd(F, a, b):
     return _rmonic(F, a)
 
 
+_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack2(a) -> int:
+    """F_2 coefficient tuple -> int with bit i = coefficient of x^i."""
+    return int(bytes(a[::-1]).translate(_TO_BITS), 2) if a else 0
+
+
+def _unpack2(v: int) -> tuple:
+    """Inverse of _pack2: a trimmed F_2 coefficient tuple."""
+    return tuple(format(v, "b")[::-1].encode().translate(_FROM_BITS)) if v else ()
+
+
+def _lazy_mulmod(a, b, negm, p):
+    """a*b mod x^d - sum(negm[j] x^j), d = len(negm), over F_p: products
+    and reduction steps accumulate as plain ints, and each output
+    coefficient is taken mod p once."""
+    d = len(negm)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i] % p
+        if c:
+            for j, m in enumerate(negm, i - d):
+                out[j] += c * m
+    return _trim([c % p for c in out[:d]])
+
+
+def _square_multiply(mulmod, one, base, n):
+    out = one
+    for bit in format(n, "b"):
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, base)
+    return out
+
+
 def _rpowmod(F, base, n, mod):
+    """base^n mod `mod`.  F_2 runs on carry-less bit vectors and the other
+    prime fields on lazily reduced ints; only extension fields call the
+    field's own operations."""
     if not mod:
         raise ZeroDivisionError("polynomial modulus is zero")
     if len(mod) == 1:
         return ()  # unit modulus: everything reduces to zero
-    out = (1,)
-    base = _rdivmod(F, base, mod)[1]
-    while n:
-        if n & 1:
-            out = _rdivmod(F, _rmul(F, out, base), mod)[1]
-        n >>= 1
-        if n:
-            base = _rdivmod(F, _rmul(F, base, base), mod)[1]
-    return out
+    if F.e > 1:
+        def mulmod(a, b):
+            return _rdivmod(F, _rmul(F, a, b), mod)[1]
+        return _square_multiply(mulmod, (1,), _rdivmod(F, base, mod)[1], n)
+    if F.p == 2:
+        m = _pack2(mod)
+
+        def mulmod(a, b):
+            return _clmod(_clmul(a, b), m)
+        return _unpack2(_square_multiply(mulmod, 1, _clmod(_pack2(base), m), n))
+    p = F.p
+    c = pow(mod[-1], p - 2, p)  # the remainder mod c*mod is the same
+    negm = [-c * m % p for m in mod[:-1]]
+
+    def mulmod(a, b):
+        return _lazy_mulmod(a, b, negm, p)
+    return _square_multiply(mulmod, (1,), mulmod(base, (1,)), n)
 
 
 def _rderiv(F, a):

@@ -83,6 +83,11 @@ def test_budget_bounds_walks_and_closures(monkeypatch, capsys):
     assert code == 1 and err == "error: no period within the budget of 19 steps\n"
     code, out, _ = run_cli(capsys, *simulate, "--budget", "20")
     assert code == 0 and out.splitlines()[-1] == "period: 20"
+    ord_both = ("ord", "--field", "5", "--poly", "x^2-x-1", "--method", "both")
+    code, _, err = run_cli(capsys, *ord_both)
+    assert code == 1 and err == "error: no order within the budget of 19 steps\n"
+    code, out, _ = run_cli(capsys, *ord_both, "--budget", "20")
+    assert code == 0 and out.splitlines()[1] == "bruteforce: 20"
     code, _, err = run_cli(capsys, "ring", "period-set", "--components", "2,5",
                            "--degree", "3", "--budget", "69")
     assert code == 1 and err == "error: 70 lcm pairs exceed the budget 69\n"

@@ -32,6 +32,9 @@ CASES = (
     "ord --field 2 --poly x^^2",
     # an irreducible degree-64 factor is past the 64-bit limit
     "ord --field 2 --poly x^64+x^4+x^3+x+1",
+    # degree 40: the walk of powers of x stops at the budget, not after 2^40 steps
+    "ord --field 2 --poly x^40+x^39+x^38+x^37+x^36+x^33+x^31+x^29+x^28+x^26+x^25"
+    "+x^23+x^21+x^19+x^18+x^16+x^14+x^13+x^11+x^7+x^5+x^4+1 --method both --budget 1000",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 8 --period",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 0 --trajectory",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms 1 --trajectory",

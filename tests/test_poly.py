@@ -10,6 +10,7 @@ from period_lab.errors import (
     ZeroPolynomial,
 )
 from period_lab.ff import make_field
+from period_lab.orders import _irreducible_order
 from period_lab.poly import (
     Factorization,
     Poly,
@@ -19,6 +20,10 @@ from period_lab.poly import (
     is_irreducible,
     monic_polys,
     parse_poly,
+    _rdivmod,
+    _rmul,
+    _rpowmod,
+    _trim,
     powmod,
     xgcd,
 )
@@ -117,6 +122,59 @@ def test_powmod():
     assert powmod(parse_poly(F2, "x^4+x"), 0, mod) == Poly.one(F2)
     with pytest.raises(ZeroDivisionError):
         powmod(x, 2, Poly.zero(F2))
+
+
+def reference_powmod(F, base, n, mod):
+    """Oracle: right-to-left square-and-multiply on the field's operations."""
+    if len(mod) == 1:
+        return ()
+    out, base = (1,), _rdivmod(F, base, mod)[1]
+    while n:
+        if n & 1:
+            out = _rdivmod(F, _rmul(F, out, base), mod)[1]
+        n >>= 1
+        base = _rdivmod(F, _rmul(F, base, base), mod)[1]
+    return out
+
+
+@pytest.mark.parametrize("field", [make_field(p) for p in (2, 3, 5, 7, 13, 1048573)]
+                         + [F4, make_field(3, 2)], ids=repr)
+def test_rpowmod_matches_reference_grid(field):
+    rng = random.Random(field.q)
+    q = field.q
+
+    def rand(length, lead=False):
+        cs = [rng.randrange(q) for _ in range(length)]
+        return _trim(cs + [rng.randrange(1, q)] if lead else cs)
+
+    for d in (0, 1, 2, 3, 5, 11, 33, 70):
+        mod = rand(d, lead=True)  # a random, mostly non-monic leading coefficient
+        # zero base, x, a short base, and bases longer than the modulus
+        for base in ((), (0, 1), rand(max(d - 1, 1)), rand(d + 1, lead=True),
+                     rand(d + 9, lead=True)):
+            for n in (0, 1, 2, q - 1, rng.getrandbits(64)):
+                if d * d * n.bit_length() > 2 ** 14:
+                    continue  # the oracle's cost grows as d^2 log n
+                got = _rpowmod(field, base, n, mod)
+                assert got == reference_powmod(field, base, n, mod), (d, base, n)
+                assert got == _trim(got) and all(0 <= c < q for c in got)
+
+
+def test_prime_field_powmod_makes_no_field_callbacks():
+    """F_2 and the other prime fields run _rpowmod and the order of x
+    without the field's element operations."""
+    def refuse(*args):
+        raise AssertionError("prime-field powmod called a field operation")
+
+    # x^31+x^3+1 is primitive; the sextic over F_7 has order 4902
+    for p, mod, order in ((2, (1, 0, 0, 1) + (0,) * 27 + (1,), 2 ** 31 - 1),
+                          (7, (1, 4, 6, 6, 6, 0, 1), 4902)):
+        plain, F = make_field(p), make_field(p)
+        F.mul = F.add = F.sub = F.neg = F.inv = refuse
+        assert _irreducible_order.__wrapped__(F, mod) == order
+        scaled = tuple(c * (p - 1) % p for c in mod)  # non-monic over F_7
+        base, n = (1, 1, 1) * 12, 2 ** 64 + 1
+        assert _rpowmod(F, base, n, scaled) == reference_powmod(plain, base, n, scaled)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -247,3 +305,23 @@ def test_format_uses_canonical_coefficients():
     assert format_poly(f) == "x^2+4*x+4"
     g = Poly(F4, (3, 0, 1))
     assert format_poly(g) == "x^2+[1,1]"
+
+
+def test_factor_and_irreducibility_match_sympy():
+    """Third oracle: sympy's dense factoring over F_p, on big-endian lists."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+
+    rng = random.Random(7)
+    for F in (F2, F3, F5):
+        for _ in range(25):
+            cs = [rng.randrange(F.q) for _ in range(rng.randrange(1, 31))]
+            f = Poly(F, cs + [rng.randrange(1, F.q)])
+            big_endian = list(reversed(f.coeffs))
+            unit, parts = gf_factor(big_endian, F.p, ZZ)
+            fac = factor(f)
+            assert fac.unit == int(unit)
+            assert sorted((g.coeffs, m) for g, m in fac) == sorted(
+                (tuple(int(c) for c in reversed(g)), m) for g, m in parts), str(f)
+            assert is_irreducible(f) == gf_irreducible_p(big_endian, F.p, ZZ), str(f)

@@ -10,6 +10,7 @@ exact and deterministic.
 """
 
 from . import errors
+from .errors import DEFAULT_BUDGET
 from .ff import MAX_CHARACTERISTIC, FieldCtx, make_field, parse_field_spec
 from .intfactor import (
     INT64_MAX,
@@ -30,7 +31,6 @@ from .orders import (
     strip_x_power,
 )
 from .period_sets import (
-    DEFAULT_BUDGET,
     PeriodSet,
     divisors,
     order_set_bruteforce,

@@ -19,7 +19,6 @@ from .ff import parse_field_spec
 from .intfactor import lcm64
 from .orders import poly_order, poly_order_bruteforce
 from .period_sets import (
-    default_budget,
     order_set_bruteforce,
     period_set_closed_form,
     period_set_exact,
@@ -31,7 +30,6 @@ from .rings import (
     component_periods,
     group_algebra_max_period,
     make_product_ring,
-    period_over_ring,
     ring_period_sets,
 )
 from .sequences import Recurrence, generate, minimal_poly, period_bruteforce
@@ -112,8 +110,7 @@ def _run_ord(args, inputs) -> int:
                     f"contribution {c.contribution}"
                 )
     if args.method in ("bruteforce", "both"):
-        budget = args.budget if args.budget is not None else default_budget()
-        brute = poly_order_bruteforce(f, budget=budget)
+        brute = poly_order_bruteforce(f, budget=args.budget)
         payload["bruteforce"] = brute
         text.append(f"bruteforce: {brute}" if args.method == "both" else str(brute))
         rows.append(["bruteforce", brute])
@@ -152,8 +149,7 @@ def _run_simulate(args, inputs) -> int:
     text = [" ".join(fmt_el(t) for t in terms)]
     rows = [["n", "term"]] + [[i, fmt_el(t)] for i, t in enumerate(terms)]
     if args.period:
-        budget = args.budget if args.budget is not None else default_budget()
-        period = period_bruteforce(rec, init, budget=budget)
+        period = period_bruteforce(rec, init, budget=args.budget)
         payload["period"] = period
         text.append(f"period: {period}")
         rows.append(["period", period])
@@ -286,11 +282,11 @@ def _run_ring_period(args, inputs) -> int:
     rows = [["component", "period"]] + [
         [c.spec(), cper] for c, cper in zip(ring.components, cpers)
     ]
-    if args.method in ("simulate", "both"):
-        direct = period_over_ring(rec, init, direct=True)
-        payload["simulated"] = direct
-        text.append(f"simulated: {direct}")
-        rows.append(["simulated", direct])
+    if args.method == "both":
+        walked = period_bruteforce(rec, init)
+        payload["simulated"] = walked
+        text.append(f"simulated: {walked}")
+        rows.append(["simulated", walked])
     text.append(f"period: {period}")
     rows.append(["lcm", period])
     _emit(args, payload, text, rows)
@@ -451,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rp.add_argument("--rec", required=True,
                       help="ring coefficients; parts joined with '|', e.g. 1|1|1,0|2|3")
     p_rp.add_argument("--init", required=True)
-    p_rp.add_argument("--method", choices=("lcm", "simulate", "both"), default="lcm")
+    p_rp.add_argument("--method", choices=("lcm", "both"), default="lcm")
     _add_common(p_rp)
     p_rp.set_defaults(prepare=_prepare_ring_period, run=_run_ring_period)
 

@@ -4,7 +4,15 @@ Built-in exceptions are used where Python already has the right one:
 ZeroDivisionError for inverting zero or dividing by the zero polynomial,
 IndexError for bad component indices, and OverflowError when a result
 would leave the 64-bit range the library guarantees.
+
+The work budget lives here too, next to BudgetExceeded: every budgeted
+route reads budget=None as default_budget().
 """
+
+import os
+
+DEFAULT_BUDGET = 10 ** 6
+BUDGET_ENV_VAR = "PERIOD_LAB_BUDGET"
 
 
 class CompositeCharacteristic(ValueError):
@@ -81,3 +89,15 @@ class CapExceeded(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """An enumeration, lcm closure or state walk would exceed its work budget."""
+
+
+def default_budget() -> int:
+    """The work budget of a call that names none: $PERIOD_LAB_BUDGET, else
+    DEFAULT_BUDGET."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise OutOfRange(f"bad {BUDGET_ENV_VAR} value {raw!r}") from exc

@@ -61,6 +61,16 @@ def _clmod(a: int, m: int) -> int:
     return a
 
 
+def _square_multiply(mulmod, one, base, n):
+    """base^n for n >= 0 by left-to-right square-and-multiply under mulmod."""
+    out = one
+    for bit in format(n, "b"):
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, base)
+    return out
+
+
 class FieldCtx:
     """The finite field F_{p^e}.  Construct via make_field()."""
 
@@ -150,16 +160,6 @@ class FieldCtx:
                             prod[i - e + j] = (prod[i - e + j] + c * r) % p
             return encode(prod[:e])
 
-        def raw_pow(a, n):
-            out = 1
-            while n:
-                if n & 1:
-                    out = raw_mul(out, a)
-                n >>= 1
-                if n:
-                    a = raw_mul(a, a)
-            return out
-
         # addition
         if p == 2:
             self.add = lambda a, b: a ^ b
@@ -199,7 +199,7 @@ class FieldCtx:
             self._install_powers(lambda a, n: exp_t[log_t[a] * n % (q - 1)])
         else:
             self.mul = raw_mul
-            self._install_powers(raw_pow)
+            self._install_powers(lambda a, n: _square_multiply(raw_mul, 1, a, n))
 
     # -- element plumbing -----------------------------------------------------
 

@@ -19,6 +19,7 @@ from .errors import (
     ReduciblePolynomial,
     ZeroConstantTerm,
     ZeroPolynomial,
+    default_budget,
 )
 from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
 from .poly import Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
@@ -113,17 +114,20 @@ def poly_order_bruteforce(f: Poly, limit: int | None = None, *,
 
     Independent of the factorization pipeline.  The default limit is the
     provable bound q^deg(g) - 1; passing it raises LimitExceeded, which
-    signals a bug rather than a hard input.  A `budget` below the limit
-    caps the walk at that many steps and raises BudgetExceeded past it.
+    signals a bug rather than a hard input.  A `budget` (default 10^6, or
+    PERIOD_LAB_BUDGET) below the limit caps the walk at that many steps
+    and raises BudgetExceeded past it.
     """
     r, g = strip_x_power(f)
     if g.degree == 0:
         return 1
+    if budget is None:
+        budget = default_budget()
     F = f.field
     gcs = _rmonic(F, g.coeffs)
     d = len(gcs) - 1
     cap = limit if limit is not None else F.q ** d - 1
-    steps = cap if budget is None else min(cap, budget)
+    steps = min(cap, budget)
     mul, sub, neg = F.mul, F.sub, F.neg
     if d == 1:
         h = [neg(gcs[0])]

@@ -12,12 +12,11 @@ oracle for small (q, k), and the exact route answers everything else.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
-from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange
+from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange, default_budget
 from .ff import FieldCtx
 from .intfactor import (
     INT64_MAX,
@@ -29,20 +28,6 @@ from .intfactor import (
 )
 from .orders import _char_boost, poly_order
 from .poly import monic_polys
-
-DEFAULT_BUDGET = 10 ** 6
-BUDGET_ENV_VAR = "PERIOD_LAB_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise OutOfRange(f"bad {BUDGET_ENV_VAR} value {raw!r}") from exc
-
 
 @dataclass(frozen=True)
 class PeriodSet:

@@ -20,6 +20,7 @@ ignored and 't' is accepted as an alias for 'x'.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, _clmod, _clmul
+from .ff import FieldCtx, _clmod, _clmul, _square_multiply
 from .intfactor import factor_integer
 
 DEFAULT_SEED = 1
@@ -147,15 +148,6 @@ def _lazy_mulmod(a, b, negm, p):
             for j, m in enumerate(negm, i - d):
                 out[j] += c * m
     return _trim([c % p for c in out[:d]])
-
-
-def _square_multiply(mulmod, one, base, n):
-    out = one
-    for bit in format(n, "b"):
-        out = mulmod(out, out)
-        if bit == "1":
-            out = mulmod(out, base)
-    return out
 
 
 def _rpowmod(F, base, n, mod):
@@ -309,15 +301,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise OutOfRange("negative polynomial power")
-        out = _mk(self.field, (1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _square_multiply(operator.mul, _mk(self.field, (1,)), self, n)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

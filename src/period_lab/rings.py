@@ -21,10 +21,10 @@ import itertools
 import random
 from math import prod
 
-from .errors import BudgetExceeded, LengthMismatch, OutOfRange
+from .errors import BudgetExceeded, LengthMismatch, OutOfRange, default_budget
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
-from .period_sets import PeriodSet, default_budget, period_set_exact
+from .period_sets import PeriodSet, period_set_exact
 from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
@@ -129,43 +129,44 @@ def component_recurrence(rec: Recurrence, i: int) -> Recurrence:
 
 def component_periods(rec: Recurrence, s0) -> list[int]:
     """Period of each component projection of a product-ring recurrence
-    from state s0, in component order."""
+    from state s0, in component order.  Each component walk stops at the
+    default budget (10^6 steps, or PERIOD_LAB_BUDGET)."""
     ring = rec.ctx
     if not isinstance(ring, ProductRing):
         raise TypeError("component periods need a product-ring recurrence")
     s0 = tuple(ring.element(s) for s in s0)
+    budget = default_budget()
     return [
-        period_bruteforce(component_recurrence(rec, i), tuple(s[i] for s in s0))
+        period_bruteforce(component_recurrence(rec, i), tuple(s[i] for s in s0),
+                          budget=budget)
         for i in range(ring.r)
     ]
 
 
-def period_over_ring(rec: Recurrence, s0, *, direct: bool = False) -> int:
+def period_over_ring(rec: Recurrence, s0) -> int:
     """Period over a product ring: lcm of the projected component periods.
 
-    With direct=True the ring state is walked as-is instead, which serves
-    as the independent cross-check of the lcm route.
+    Walking the ring state as-is, period_bruteforce(rec, s0), is the
+    independent cross-check of this route.
     """
-    if direct:
-        if not isinstance(rec.ctx, ProductRing):
-            raise TypeError("period_over_ring needs a product-ring recurrence")
-        return period_bruteforce(rec, s0)
     return lcm64(*component_periods(rec, s0))
 
 
 def lcm_closure(sets, *, budget: int | None = None) -> PeriodSet:
     """{lcm(w_1, ..., w_r) : w_i in sets[i]}.
 
-    With a budget, each step first checks that the closure so far times
-    the next set stays within that many lcm pairs.
+    Each step first checks that the closure so far times the next set
+    stays within `budget` lcm pairs (default 10^6, or PERIOD_LAB_BUDGET).
     """
     sets = list(sets)
     if not sets:
         raise OutOfRange("lcm closure of no sets")
+    if budget is None:
+        budget = default_budget()
     closure = set(sets[0])
     for s in sets[1:]:
         pairs = len(closure) * len(s)
-        if budget is not None and pairs > budget:
+        if pairs > budget:
             raise BudgetExceeded(f"{pairs} lcm pairs exceed the budget {budget}")
         closure = {lcm64(a, b) for a in closure for b in s}
     return PeriodSet.of(closure)
@@ -177,8 +178,6 @@ def ring_period_sets(ring: ProductRing, k: int, *,
     ring as their lcm-closure.  `budget` (default 10^6, or
     PERIOD_LAB_BUDGET) caps the candidate periods of each component set
     and the lcm pairs of each closure step."""
-    if budget is None:
-        budget = default_budget()
     component_sets = [component_period_set(c, k, budget=budget)
                       for c in ring.components]
     return component_sets, lcm_closure(component_sets, budget=budget)
@@ -377,7 +376,7 @@ def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
     for c0 in units:
         for rest in itertools.product(ga.elements(), repeat=k - 1):
             rec = Recurrence(ga, (c0, *rest))
-            best = max(best, period_bruteforce(rec, impulse_state(rec)))
+            best = max(best, period_bruteforce(rec, impulse_state(rec), budget=budget))
     return best
 
 

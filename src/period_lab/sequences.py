@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     NonUnitCoefficient,
     OutOfRange,
+    default_budget,
 )
 from .ff import FieldCtx
 from .poly import Poly, _mk, _trim
@@ -112,13 +113,15 @@ def generate(rec: Recurrence, s0, count: int) -> list:
 def period_bruteforce(rec: Recurrence, s0, *, budget: int | None = None) -> int:
     """Steps until the state first returns to s0 (valid: c_0 is a unit).
 
-    With a budget, a period longer than that many steps raises
-    BudgetExceeded.
+    A period longer than `budget` steps (default 10^6, or
+    PERIOD_LAB_BUDGET) raises BudgetExceeded.
     """
     start = _canonical_state(rec, s0)
+    if budget is None:
+        budget = default_budget()
     state = list(start)
     cap = rec.ctx.size ** rec.k
-    limit = cap if budget is None else min(cap, budget)
+    limit = min(cap, budget)
     n = 0
     while True:
         _step(rec, state)

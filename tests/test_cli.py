@@ -8,6 +8,7 @@ import pytest
 
 from period_lab import cli, rings, sequences
 from period_lab.cli import main
+from period_lab.errors import default_budget
 from period_lab.ff import parse_field_spec
 from period_lab.poly import parse_poly
 
@@ -105,9 +106,28 @@ def test_bad_budget_env_only_fails_budgeted_routes(monkeypatch, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
     for argv in (("period-set", "--field", "2", "--degree", "4", "--method", "exact"),
-                 ("ring", "period-set", "--components", "2,3", "--degree", "2")):
+                 ("ring", "period-set", "--components", "2,3", "--degree", "2"),
+                 ("ring", "period", "--components", "2,5", "--rec", "1,1",
+                  "--init", "0|0,1|1")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err == "error: bad PERIOD_LAB_BUDGET value 'abc'\n", argv
+
+
+def test_ring_period_walks_stop_at_the_budget_env():
+    # degree 40: each component walk would run up to 2^40 steps unbudgeted
+    argv = ["ring", "period", "--components", "2", "--rec", "1," + "0," * 38 + "1",
+            "--init", "0," * 39 + "1"]
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "period_lab.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, PERIOD_LAB_BUDGET="1000"))
+    assert done.returncode == 1
+    assert done.stderr == "error: no period within the budget of 1000 steps\n"
+
+
+def test_default_budget_lives_in_errors():
+    assert not hasattr(cli, "default_budget")
+    assert default_budget.__module__ == "period_lab.errors"
 
 
 def test_import_loads_no_process_pool():
@@ -245,9 +265,9 @@ def test_ring_period_walks_each_component_once(monkeypatch, capsys, components,
                                                init, method, walks):
     calls = []
 
-    def counting(rec, s0):
+    def counting(rec, s0, *, budget=None):
         calls.append(rec)
-        return sequences.period_bruteforce(rec, s0)
+        return sequences.period_bruteforce(rec, s0, budget=budget)
 
     for mod in (cli, rings):
         monkeypatch.setattr(mod, "period_bruteforce", counting)

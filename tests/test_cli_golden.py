@@ -12,10 +12,12 @@ After an intended output change, re-record with:
 
 import io
 import json
+import os
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -63,6 +65,7 @@ CASES = (
     "ring period-set --components 2,5 --degree 5",
     "ring period-set --components 2,5 --degree 9",
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method lcm",
+    # not a method: the walk is `both`'s cross-check, so argparse exits 2
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method simulate",
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method both",
     "ring period --components 2,3,2^2 --rec 1|1|[1,0],1|2|[0,1] "
@@ -82,8 +85,13 @@ _ELAPSED = re.compile(r"\(\d+\.\d ms\)")
 
 def run_case(key: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(shlex.split(key))
+    # argparse wraps its usage line to the terminal width; pin it
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(shlex.split(key))
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
     return {"code": code, "stdout": _ELAPSED.sub("(- ms)", out.getvalue()),
             "stderr": err.getvalue()}
 

@@ -178,11 +178,18 @@ def test_prime_field_powmod_makes_no_field_callbacks():
 
 
 def test_pow_matches_repeated_multiplication():
-    f = parse_poly(F3, "x+2")
-    assert f ** 3 == f * f * f
-    assert f ** 0 == Poly.one(F3)
+    F9 = make_field(3, 2)
+    for F, text in ((F2, "x^3+x+1"), (F3, "x+2"), (F9, "[1,1]*x^2+[0,1]")):
+        f = parse_poly(F, text)
+        for n in (0, 1, 2, 3, 5, 13):
+            expected = Poly.one(F)
+            for _ in range(n):
+                expected = expected * f
+            assert f ** n == expected, (F, text, n)
+        zero = Poly.zero(F)
+        assert zero ** 0 == Poly.one(F) and zero ** 3 == zero
     with pytest.raises(OutOfRange):
-        f ** -1
+        parse_poly(F3, "x+2") ** -1
 
 
 def test_is_irreducible_references():

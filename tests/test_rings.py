@@ -29,7 +29,20 @@ from period_lab.rings import (
     sample_recurrence,
     verify_field_characterization,
 )
-from period_lab.sequences import Recurrence, generate, period_bruteforce
+from period_lab.orders import poly_order_bruteforce
+from period_lab.sequences import (
+    Recurrence,
+    SequenceRun,
+    generate,
+    impulse_response_period,
+    period_bruteforce,
+)
+
+# Fibonacci has period 20 over F_5 and 3 over F_2
+F5_FIB = Recurrence(make_field(5), (1, 1))
+RING_FIB = Recurrence(make_product_ring([2, 5]), ((1, 1), (1, 1)))
+RING_FIB_S0 = ((0, 0), (1, 1))
+GA_5_2 = make_group_algebra(5, 2)  # F_5 + F_5: period 20 in both parts
 
 
 def test_make_product_ring():
@@ -82,7 +95,7 @@ def test_period_over_ring_fibonacci():
     # derived: lcm of the component periods, cross-checked by direct walk
     assert component_periods(rec, s0) == [3, 20]
     assert period_over_ring(rec, s0) == lcm64(3, 20) == 60
-    assert period_over_ring(rec, s0, direct=True) == 60
+    assert period_bruteforce(rec, s0) == 60
     assert period_over_ring(rec, ((0, 0), (0, 0))) == 1
 
 
@@ -115,7 +128,7 @@ def test_lcm_of_component_periods_random():
         s0 = tuple(
             tuple(rng.randrange(c.q) for c in ring.components) for _ in range(k)
         )
-        assert period_over_ring(rec, s0) == period_over_ring(rec, s0, direct=True)
+        assert period_over_ring(rec, s0) == period_bruteforce(rec, s0)
         done += 1
 
 
@@ -330,6 +343,26 @@ def test_group_algebra_sequences_run_directly():
     assert terms[0] == ga.zero and terms[1] == ga.one
     assert terms[2] == ga.one and terms[3] == ga.add(ga.one, ga.one)
     assert period_bruteforce(rec, (ga.zero, ga.one)) >= 1
+
+
+@pytest.mark.parametrize("walk, unit, answer", [
+    (lambda: period_bruteforce(F5_FIB, (0, 1)), "period", 20),
+    (lambda: SequenceRun(F5_FIB, (0, 1)).period, "period", 20),
+    (lambda: impulse_response_period(F5_FIB), "period", 20),
+    (lambda: component_periods(RING_FIB, RING_FIB_S0), "period", [3, 20]),
+    (lambda: period_over_ring(RING_FIB, RING_FIB_S0), "period", 60),
+    (lambda: group_algebra_period(GA_5_2, (1, 1)), "period", 20),
+    (lambda: group_algebra_period(GA_5_2, (1, 1), via_decomposition=True), "period", 20),
+    (lambda: poly_order_bruteforce(parse_poly(make_field(5), "x^2-x-1")), "order", 20),
+], ids=["period_bruteforce", "SequenceRun.period", "impulse_response_period",
+        "component_periods", "period_over_ring", "group_algebra_period",
+        "group_algebra_period-crt", "poly_order_bruteforce"])
+def test_default_budget_stops_every_walk(monkeypatch, walk, unit, answer):
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "19")
+    with pytest.raises(BudgetExceeded, match=f"^no {unit} within the budget of 19 steps$"):
+        walk()
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "20")
+    assert walk() == answer
 
 
 def test_group_algebra_validation():

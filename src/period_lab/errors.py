@@ -6,7 +6,10 @@ IndexError for bad component indices, and OverflowError when a result
 would leave the 64-bit range the library guarantees.
 
 The work budget lives here too, next to BudgetExceeded: every budgeted
-route reads budget=None as default_budget().
+route reads budget=None as default_budget().  Every brute-force walk (the
+state shift of a recurrence, h <- x*h mod g, M <- M*C) runs in walk_back:
+it stops after min(provable cap, budget) steps, raising BudgetExceeded
+past the budget and the route's own "bug?" error past the cap.
 """
 
 import os
@@ -101,3 +104,20 @@ def default_budget() -> int:
         return int(raw)
     except ValueError as exc:
         raise OutOfRange(f"bad {BUDGET_ENV_VAR} value {raw!r}") from exc
+
+
+def walk_back(start, step, what: str, cap: int, bug: type[Exception],
+              budget: int | None = None) -> int:
+    """Least n >= 1 with step^n(start) == start (`step` returns a new
+    value).  Walks at most min(cap, budget) steps: past the provable `cap`
+    it raises `bug`, past `budget` (None: default_budget()) BudgetExceeded."""
+    if budget is None:
+        budget = default_budget()
+    x = start
+    for n in range(1, min(cap, budget) + 1):
+        x = step(x)
+        if x == start:
+            return n
+    if budget < cap:
+        raise BudgetExceeded(f"no {what} within the budget of {budget} steps")
+    raise bug(f"no {what} within {cap} steps (bug?)")

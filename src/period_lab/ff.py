@@ -140,6 +140,9 @@ class FieldCtx:
         def raw_add(a, b):
             return encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
 
+        def raw_sub(a, b):
+            return encode([(x - y) % p for x, y in zip(decode(a), decode(b))])
+
         def raw_neg(a):
             return encode([-x % p for x in decode(a)])
 
@@ -165,16 +168,16 @@ class FieldCtx:
             self.add = lambda a, b: a ^ b
             self.sub = self.add
             self.neg = lambda a: a
-        else:
+        elif q <= _ADD_TABLE_LIMIT:
             neg_t = [raw_neg(a) for a in range(q)]
-            if q <= _ADD_TABLE_LIMIT:
-                add_t = [raw_add(a, b) for a in range(q) for b in range(q)]
-                self.add = lambda a, b: add_t[a * q + b]
-                self.sub = lambda a, b: add_t[a * q + neg_t[b]]
-            else:
-                self.add = raw_add
-                self.sub = lambda a, b: raw_add(a, neg_t[b])
+            add_t = [raw_add(a, b) for a in range(q) for b in range(q)]
+            self.add = lambda a, b: add_t[a * q + b]
+            self.sub = lambda a, b: add_t[a * q + neg_t[b]]
             self.neg = lambda a: neg_t[a]
+        else:
+            self.add = raw_add
+            self.sub = raw_sub
+            self.neg = raw_neg
 
         # multiplication via discrete logs when the field is small enough
         exp_t = None

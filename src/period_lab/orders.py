@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BudgetExceeded,
     LimitExceeded,
     ReduciblePolynomial,
     ZeroConstantTerm,
     ZeroPolynomial,
-    default_budget,
+    walk_back,
 )
 from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
 from .poly import Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
@@ -108,46 +107,30 @@ def poly_order(f: Poly) -> OrderResult:
     return OrderResult(order, r, tuple(entries))
 
 
-def poly_order_bruteforce(f: Poly, limit: int | None = None, *,
-                          budget: int | None = None) -> int:
+def poly_order_bruteforce(f: Poly, *, budget: int | None = None) -> int:
     """Least n with g | x^n - 1, found by walking h <- x*h mod g.
 
-    Independent of the factorization pipeline.  The default limit is the
-    provable bound q^deg(g) - 1; passing it raises LimitExceeded, which
-    signals a bug rather than a hard input.  A `budget` (default 10^6, or
-    PERIOD_LAB_BUDGET) below the limit caps the walk at that many steps
-    and raises BudgetExceeded past it.
+    Independent of the factorization pipeline.  Passing the provable
+    bound q^deg(g) - 1 raises LimitExceeded, which signals a bug rather
+    than a hard input; an order above `budget` steps (default 10^6, or
+    PERIOD_LAB_BUDGET) raises BudgetExceeded.
     """
     r, g = strip_x_power(f)
     if g.degree == 0:
         return 1
-    if budget is None:
-        budget = default_budget()
     F = f.field
     gcs = _rmonic(F, g.coeffs)
     d = len(gcs) - 1
-    cap = limit if limit is not None else F.q ** d - 1
-    steps = min(cap, budget)
-    mul, sub, neg = F.mul, F.sub, F.neg
-    if d == 1:
-        h = [neg(gcs[0])]
-    else:
-        h = [0] * d
-        h[1] = 1
-    one = [1] + [0] * (d - 1)
-    n = 1
-    while n <= steps:
-        if h == one:
-            return n
+    mul, sub = F.mul, F.sub
+
+    def times_x(h: tuple) -> tuple:
         carry = h[-1]
-        for i in range(d - 1, 0, -1):
-            h[i] = h[i - 1]
-        h[0] = 0
+        h = [0, *h[:-1]]
         if carry:
             for i in range(d):
                 if gcs[i]:
                     h[i] = sub(h[i], mul(carry, gcs[i]))
-        n += 1
-    if steps < cap:
-        raise BudgetExceeded(f"no order within the budget of {budget} steps")
-    raise LimitExceeded(f"no order found within {cap} steps (bug?)")
+        return tuple(h)
+
+    return walk_back((1,) + (0,) * (d - 1), times_x, "order", F.q ** d - 1,
+                     LimitExceeded, budget)

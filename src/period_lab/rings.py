@@ -11,8 +11,9 @@ coefficient tuples and cyclic-convolution multiplication.  When p does
 not divide n the defining polynomial is squarefree and the algebra
 decomposes into a ProductRing of fields, one per irreducible factor of
 t^n - 1 (each component field is built on that factor as its modulus, so
-projection is plain polynomial reduction); otherwise only the bounded
-direct-simulation path is available.
+projection is plain polynomial reduction); otherwise the largest period
+comes from walking every recurrence, and that sweep is refused up front
+when its worst-case total of walked steps exceeds the budget.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class ProductRing:
 
     def mul(self, a, b):
         return tuple(c.mul(x, y) for c, x, y in zip(self.components, a, b))
-
-    def neg(self, a):
-        return tuple(c.neg(x) for c, x in zip(self.components, a))
 
     def is_unit(self, a) -> bool:
         return all(x != 0 for x in a)
@@ -273,10 +271,6 @@ class GroupAlgebra:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
     def mul(self, a, b):
         # cyclic convolution: t^n wraps to 1
         p, n = self.p, self.n
@@ -341,7 +335,7 @@ def group_algebra_period(ga: GroupAlgebra, coeffs, s0=None, *,
                          via_decomposition: bool = False) -> int:
     """Period of a recurrence over the algebra, from state s0 (impulse by
     default): direct quotient-ring walk, or the CRT route for comparison."""
-    rec = Recurrence(ga, tuple(ga.element(c) for c in coeffs))
+    rec = Recurrence(ga, coeffs)
     if s0 is None:
         s0 = impulse_state(rec)
     else:
@@ -359,7 +353,9 @@ def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
 
     Semisimple algebras use the lcm-closure of the component period sets;
     otherwise every unit-c_0 recurrence is walked from the impulse state
-    (which attains that recurrence's maximum) within the budget.
+    (which attains that recurrence's maximum).  Before the units scan the
+    |A|^k states, and before any walk the worst-case total of walked
+    steps |U|*|A|^(2k-1) (recurrences times states), must fit the budget.
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")
@@ -368,11 +364,13 @@ def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
     if ga.semisimple:
         return max(period_set_over_ring(ga.decomposition, k, budget=budget))
     if ga.size ** k > budget:
-        raise BudgetExceeded(
-            f"{ga.size ** k} states exceed the budget {budget}"
-        )
-    best = 1
+        raise BudgetExceeded(f"{ga.size ** k} states exceed the budget {budget}")
     units = list(ga.units())
+    steps = len(units) * ga.size ** (2 * k - 1)
+    if steps > budget:
+        raise BudgetExceeded(
+            f"{steps} worst-case walk steps exceed the budget {budget}")
+    best = 1
     for c0 in units:
         for rest in itertools.product(ga.elements(), repeat=k - 1):
             rec = Recurrence(ga, (c0, *rest))

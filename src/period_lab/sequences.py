@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     ConstantPolynomial,
     InsufficientPrefix,
     LengthMismatch,
     NonUnitCoefficient,
     OutOfRange,
-    default_budget,
+    walk_back,
 )
 from .ff import FieldCtx
 from .poly import Poly, _mk, _trim
@@ -62,16 +61,10 @@ class Recurrence:
 
     def companion_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Row-convention companion matrix C with s_{n+1} = s_n C."""
-        F = self._field()
+        self._field()  # field-valued recurrences only
         k = self.k
-        rows = []
-        for i in range(k):
-            row = [0] * k
-            if i >= 1:
-                row[i - 1] = 1
-            row[k - 1] = self.coeffs[i]
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(1 if j == i - 1 else 0 for j in range(k - 1)) + (c,)
+                     for i, c in enumerate(self.coeffs))
 
     def _field(self) -> FieldCtx:
         if not isinstance(self.ctx, FieldCtx):
@@ -89,24 +82,30 @@ def _canonical_state(rec: Recurrence, s0) -> tuple:
     return state
 
 
-def _step(rec: Recurrence, state: list) -> None:
+def _stepper(rec: Recurrence):
+    """The state shift: (s_n, ..., s_{n+k-1}) -> (s_{n+1}, ..., s_{n+k})."""
     ctx = rec.ctx
     add, mul, zero = ctx.add, ctx.mul, ctx.zero
-    nxt = zero
-    for c, s in zip(rec.coeffs, state):
-        if c != zero and s != zero:
-            nxt = add(nxt, mul(c, s))
-    del state[0]
-    state.append(nxt)
+    coeffs = rec.coeffs
+
+    def step(state: tuple) -> tuple:
+        nxt = zero
+        for c, s in zip(coeffs, state):
+            if c != zero and s != zero:
+                nxt = add(nxt, mul(c, s))
+        return state[1:] + (nxt,)
+
+    return step
 
 
 def generate(rec: Recurrence, s0, count: int) -> list:
     """First `count` terms of the sequence from initial state s0."""
-    state = list(_canonical_state(rec, s0))
+    state = _canonical_state(rec, s0)
+    step = _stepper(rec)
     out = []
     for _ in range(count):
         out.append(state[0])
-        _step(rec, state)
+        state = step(state)
     return out
 
 
@@ -116,23 +115,8 @@ def period_bruteforce(rec: Recurrence, s0, *, budget: int | None = None) -> int:
     A period longer than `budget` steps (default 10^6, or
     PERIOD_LAB_BUDGET) raises BudgetExceeded.
     """
-    start = _canonical_state(rec, s0)
-    if budget is None:
-        budget = default_budget()
-    state = list(start)
-    cap = rec.ctx.size ** rec.k
-    limit = min(cap, budget)
-    n = 0
-    while True:
-        _step(rec, state)
-        n += 1
-        if tuple(state) == start:
-            return n
-        if n >= limit:
-            break
-    if limit < cap:
-        raise BudgetExceeded(f"no period within the budget of {budget} steps")
-    raise CapExceeded("state walk passed the state count (bug?)")
+    return walk_back(_canonical_state(rec, s0), _stepper(rec), "period",
+                     rec.ctx.size ** rec.k, CapExceeded, budget)
 
 
 def impulse_state(rec: Recurrence) -> tuple:
@@ -152,17 +136,14 @@ def impulse_response_period(rec: Recurrence) -> int:
 
 
 def _mat_mul(F: FieldCtx, a, b):
-    k = len(a)
     add, mul = F.add, F.mul
+    cols = tuple(zip(*b))
     out = []
-    for i in range(k):
+    for arow in a:
         row = []
-        arow = a[i]
-        for j in range(k):
+        for col in cols:
             acc = 0
-            for t in range(k):
-                x = arow[t]
-                y = b[t][j]
+            for x, y in zip(arow, col):
                 if x and y:
                     acc = add(acc, mul(x, y))
             row.append(acc)
@@ -170,22 +151,18 @@ def _mat_mul(F: FieldCtx, a, b):
     return tuple(out)
 
 
-def companion_order_bruteforce(rec: Recurrence, cap: int | None = None) -> int:
-    """Least n with C^n = I by repeated matrix multiplication (oracle)."""
+def companion_order_bruteforce(rec: Recurrence) -> int:
+    """Least n with C^n = I by repeated matrix multiplication (oracle).
+
+    An order above the default budget (10^6 steps, or PERIOD_LAB_BUDGET)
+    raises BudgetExceeded.
+    """
     F = rec._field()
     k = rec.k
     identity = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     C = rec.companion_matrix()
-    if cap is None:
-        cap = F.q ** k - 1
-    M = C
-    n = 1
-    while M != identity:
-        M = _mat_mul(F, M, C)
-        n += 1
-        if n > cap:
-            raise CapExceeded(f"no matrix order within {cap} steps (bug?)")
-    return n
+    return walk_back(identity, lambda M: _mat_mul(F, M, C), "matrix order",
+                     F.q ** k - 1, CapExceeded)
 
 
 def berlekamp_massey(field: FieldCtx, seq) -> tuple[list, int]:

@@ -20,6 +20,7 @@ from .period_sets import (
     divisors,
     order_set_bruteforce,
     period_set_closed_form,
+    period_set_exact,
     period_set_lower_bound,
     set_product,
     set_scale,
@@ -188,6 +189,15 @@ def _check_strictness_degree5():
     return (True, False), (in_bruteforce, in_bound)
 
 
+def _check_exact_vs_bruteforce():
+    mismatches = []
+    for q, top in ((2, 10), (3, 6), (4, 5), (5, 4)):  # every q^k <= 1024
+        field = make_field(*split_prime_power(q))
+        mismatches += [(q, k) for k in range(1, top + 1)
+                       if order_set_bruteforce(field, k) != period_set_exact(k, q)]
+    return ([], True), (mismatches, 21 in period_set_exact(5, 2))
+
+
 def _check_ring_example_degree1():
     ring = make_product_ring([2, 3, 5])
     return [1, 2, 4], list(period_set_over_ring(ring, 1))
@@ -301,6 +311,10 @@ _CHECKS = (
     ("degree5-strictness", "period-sets",
      "21 is a degree-5 period over F_2 but falls outside the union bound",
      _check_strictness_degree5),
+    ("exact-route-equality", "period-sets",
+     "exact period sets equal brute-force order sets for q in {2,3,4,5}, q^k <= 1024; "
+     "21 is in the degree-5 set over F_2",
+     _check_exact_vs_bruteforce),
     ("ring-period-set-k1", "rings",
      "degree-1 period set over F_2+F_3+F_5 is {1,2,4}",
      _check_ring_example_degree1),

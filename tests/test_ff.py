@@ -145,20 +145,40 @@ def test_extension_arithmetic_f4():
 
 def test_extension_matches_coordinate_oracle():
     rng = random.Random(7)
-    # F_2^13 and F_3^8 are past the log-table limit: coordinate arithmetic
-    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3), (2, 13), (3, 8)):
+    # F_2^13 and F_3^8 are past the log-table limit: coordinate arithmetic;
+    # F_3^6 and F_5^4 are past the add-table limit only
+    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3), (2, 13), (3, 6), (3, 8), (5, 4)):
         F = make_field(p, e)
         for _ in range(200):
             a, b = rng.randrange(F.q), rng.randrange(F.q)
             da, db = F.coeffs(a), F.coeffs(b)
             expect_add = [(x + y) % p for x, y in zip(da, db)]
             assert list(F.coeffs(F.add(a, b))) == expect_add
+            expect_sub = [(x - y) % p for x, y in zip(da, db)]
+            assert list(F.coeffs(F.sub(a, b))) == expect_sub
+            assert list(F.coeffs(F.neg(a))) == [-x % p for x in da]
             prod = [0] * (2 * e - 1)
             for i, x in enumerate(da):
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
             expect_mul = reduce_mod_modulus(p, F.modulus, prod)
             assert list(F.coeffs(F.mul(a, b))) == expect_mul
+
+
+def test_large_odd_field_keeps_no_element_tables():
+    # past the add-table limit no per-element table is kept: F_3^10 has
+    # 59,049 elements, and a table of their negatives alone held 2.27 MB
+    import tracemalloc
+
+    make_field(3, 10)  # warm the factoring and irreducibility caches
+    tracemalloc.start()
+    try:
+        F = make_field(3, 10)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F.q == 59049
+    assert kept < 500_000
 
 
 def test_large_extension_field_untabled():

@@ -33,6 +33,7 @@ from period_lab.orders import poly_order_bruteforce
 from period_lab.sequences import (
     Recurrence,
     SequenceRun,
+    companion_order_bruteforce,
     generate,
     impulse_response_period,
     period_bruteforce,
@@ -354,15 +355,40 @@ def test_group_algebra_sequences_run_directly():
     (lambda: group_algebra_period(GA_5_2, (1, 1)), "period", 20),
     (lambda: group_algebra_period(GA_5_2, (1, 1), via_decomposition=True), "period", 20),
     (lambda: poly_order_bruteforce(parse_poly(make_field(5), "x^2-x-1")), "order", 20),
+    (lambda: companion_order_bruteforce(F5_FIB), "matrix order", 20),
 ], ids=["period_bruteforce", "SequenceRun.period", "impulse_response_period",
         "component_periods", "period_over_ring", "group_algebra_period",
-        "group_algebra_period-crt", "poly_order_bruteforce"])
+        "group_algebra_period-crt", "poly_order_bruteforce",
+        "companion_order_bruteforce"])
 def test_default_budget_stops_every_walk(monkeypatch, walk, unit, answer):
     monkeypatch.setenv("PERIOD_LAB_BUDGET", "19")
     with pytest.raises(BudgetExceeded, match=f"^no {unit} within the budget of 19 steps$"):
         walk()
     monkeypatch.setenv("PERIOD_LAB_BUDGET", "20")
     assert walk() == answer
+
+
+def test_nonsemisimple_sweep_is_bounded_as_a_whole(monkeypatch):
+    # F_2[C_2] at k = 5: 4^5 = 1024 states fit a budget of 5000, but the
+    # sweep's worst case is |U| * |A|^(2k-1) = 2 * 4^9 = 524,288 walked
+    # steps (19,629 in fact, largest period 62), so it is refused before
+    # any walk starts
+    import period_lab.rings as rings
+
+    ga = make_group_algebra(2, 2)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the sweep walked before checking its total")
+
+    monkeypatch.setattr(rings, "period_bruteforce", no_walk)
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "5000")
+    with pytest.raises(BudgetExceeded,
+                       match="^524288 worst-case walk steps exceed the budget 5000$"):
+        group_algebra_max_period(ga, 5)
+    with pytest.raises(BudgetExceeded, match="exceed the budget 524287$"):
+        group_algebra_max_period(ga, 5, budget=524287)
+    monkeypatch.undo()
+    assert group_algebra_max_period(ga, 5, budget=524288) == 62
 
 
 def test_group_algebra_validation():

@@ -74,7 +74,8 @@ def _square_multiply(mulmod, one, base, n):
 class FieldCtx:
     """The finite field F_{p^e}.  Construct via make_field()."""
 
-    __slots__ = ("p", "e", "q", "modulus", "add", "sub", "neg", "mul", "inv", "pow")
+    __slots__ = ("p", "e", "q", "modulus", "add", "sub", "neg", "mul", "inv", "pow",
+                 "_exp2", "_log", "_add_t")
 
     zero = 0
     one = 1
@@ -84,6 +85,10 @@ class FieldCtx:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
+        # the element tables of a small extension field, for poly's kernels:
+        # _exp2[i] = g^i for 0 <= i < 2(q - 1), _log[a] = log_g(a) for a != 0,
+        # _add_t[a * q + b] = a + b (odd characteristic, q <= 256 only)
+        self._exp2 = self._log = self._add_t = None
         if e == 1:
             self._install_prime_ops()
         else:
@@ -170,7 +175,7 @@ class FieldCtx:
             self.neg = lambda a: a
         elif q <= _ADD_TABLE_LIMIT:
             neg_t = [raw_neg(a) for a in range(q)]
-            add_t = [raw_add(a, b) for a in range(q) for b in range(q)]
+            add_t = self._add_t = [raw_add(a, b) for a in range(q) for b in range(q)]
             self.add = lambda a, b: add_t[a * q + b]
             self.sub = lambda a, b: add_t[a * q + neg_t[b]]
             self.neg = lambda a: neg_t[a]
@@ -198,6 +203,7 @@ class FieldCtx:
             for i, v in enumerate(exp_t):
                 log_t[v] = i
             exp2 = exp_t + exp_t  # doubled so products of logs need no reduction
+            self._exp2, self._log = exp2, log_t
             self.mul = lambda a, b: exp2[log_t[a] + log_t[b]] if a and b else 0
             self._install_powers(lambda a, n: exp_t[log_t[a] * n % (q - 1)])
         else:
@@ -253,8 +259,8 @@ class FieldCtx:
         """Smallest n >= 1 with a^n = 1; divides q - 1."""
         if a == 0:
             raise ZeroElement("zero has no multiplicative order")
-        return order_from_multiple(factor_integer(self.q - 1),
-                                   lambda n: self.pow(a, n) == 1)
+        return order_from_multiple(factor_integer(self.q - 1), a, self.pow,
+                                   lambda y: y == 1)
 
     # -- text formats ----------------------------------------------------------
 

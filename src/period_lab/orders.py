@@ -60,7 +60,9 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     _check_ceiling(d, field.q)
     return order_from_multiple(
         factor_integer(field.q ** d - 1),
-        lambda n: _rpowmod(field, (0, 1), n, coeffs) == (1,),
+        _rpowmod(field, (0, 1), 1, coeffs),  # x reduced: a constant when d = 1
+        lambda y, e: _rpowmod(field, y, e, coeffs),
+        lambda y: y == (1,),
     )
 
 

@@ -150,15 +150,70 @@ def _lazy_mulmod(a, b, negm, p):
     return _trim([c % p for c in out[:d]])
 
 
+def _log_mulmod(F, mod):
+    """mulmod(a, b) = a*b mod `mod` over an extension field with log tables
+    and, in odd characteristic, an addition table.  The modulus is taken
+    monic and negated in the log domain once; each call takes the logs of
+    b once, and every coefficient product is then one lookup in F._exp2."""
+    exp2, log_t, add_t, q = F._exp2, F._log, F._add_t, F.q
+    d = len(mod) - 1
+    # log of -1/lead: -1 = g^((q-1)/2) in odd characteristic, 1 in even
+    shift = (q - 1 - log_t[mod[-1]]) + (0 if add_t is None else (q - 1) // 2)
+    negm = [(j, (log_t[m] + shift) % (q - 1)) for j, m in enumerate(mod[:-1]) if m]
+
+    # two copies of the loops: an addition by function call costs 25-50%
+    if add_t is None:  # characteristic 2: addition is xor
+        def mulmod(a, b):
+            lb = [(j, log_t[y]) for j, y in enumerate(b) if y]
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    lx = log_t[x]
+                    for j, ly in lb:
+                        out[i + j] ^= exp2[lx + ly]
+            for i in range(len(out) - 1, d - 1, -1):
+                c = out[i]
+                if c:
+                    lc, k = log_t[c], i - d
+                    for j, lm in negm:
+                        out[k + j] ^= exp2[lc + lm]
+            return _trim(out[:d])
+        return mulmod
+
+    def mulmod(a, b):
+        lb = [(j, log_t[y]) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                lx = log_t[x]
+                for j, ly in lb:
+                    out[i + j] = add_t[out[i + j] * q + exp2[lx + ly]]
+        for i in range(len(out) - 1, d - 1, -1):
+            c = out[i]
+            if c:
+                lc, k = log_t[c], i - d
+                for j, lm in negm:
+                    out[k + j] = add_t[out[k + j] * q + exp2[lc + lm]]
+        return _trim(out[:d])
+    return mulmod
+
+
 def _rpowmod(F, base, n, mod):
-    """base^n mod `mod`.  F_2 runs on carry-less bit vectors and the other
-    prime fields on lazily reduced ints; only extension fields call the
-    field's own operations."""
+    """base^n mod `mod`, with no call of the field's element operations
+    except on large extension fields.  F_2 runs on carry-less bit
+    vectors, the other prime fields on lazily reduced ints, and extension
+    fields with log tables (q <= 4096; in odd characteristic also an
+    addition table, q <= 256) on table lookups; the remaining extension
+    fields multiply and reduce coefficient tuples through F.mul/F.add."""
     if not mod:
         raise ZeroDivisionError("polynomial modulus is zero")
     if len(mod) == 1:
         return ()  # unit modulus: everything reduces to zero
     if F.e > 1:
+        if F._log is not None and (F.p == 2 or F._add_t is not None):
+            mulmod = _log_mulmod(F, mod)
+            return _square_multiply(mulmod, (1,), mulmod(base, (1,)), n)
+
         def mulmod(a, b):
             return _rdivmod(F, _rmul(F, a, b), mod)[1]
         return _square_multiply(mulmod, (1,), _rdivmod(F, base, mod)[1], n)

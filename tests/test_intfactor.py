@@ -144,21 +144,33 @@ def test_euler_phi():
 
 
 def test_order_from_multiple_empty_factorization():
-    def never(d):
-        raise AssertionError(f"predicate called with {d}")
+    def never(*args):
+        raise AssertionError(f"called with {args}")
 
-    assert order_from_multiple((), never) == 1
+    assert order_from_multiple((), "x", never, never) == 1
+
+
+def exponent_model(order, n, asked):
+    """x of the given order, with x^d represented by the exponent d: power
+    and is_one record what they are handed, and power checks d | n."""
+    def power(d, e):
+        asked.append(d)
+        assert n % (d * e) == 0, (d, e)
+        return d * e
+
+    def is_one(d):
+        asked.append(d)
+        return d % order == 0
+
+    return power, is_one
 
 
 def test_order_from_multiple_asks_only_divisors():
-    asked = []
-
-    def is_identity_power(d):
-        asked.append(d)
-        return d % 12 == 0  # an element of order 12
-
-    assert order_from_multiple(factor_integer(720), is_identity_power) == 12
-    assert asked and all(720 % d == 0 for d in asked)
+    for order in (1, 12, 720, 5, 16, 45):
+        asked = []
+        power, is_one = exponent_model(order, 720, asked)
+        assert order_from_multiple(factor_integer(720), 1, power, is_one) == order
+        assert asked and all(720 % d == 0 for d in asked)
 
 
 def test_order_from_multiple_matches_walk():
@@ -174,7 +186,28 @@ def test_order_from_multiple_matches_walk():
             while x != 1:
                 x = x * a % m
                 d += 1
-            assert order_from_multiple(fac, lambda n: pow(a, n, m) == 1) == d, (a, m)
+            got = order_from_multiple(fac, a, lambda y, e: pow(y, e, m), lambda y: y == 1)
+            assert got == d, (a, m)
+
+
+def test_order_from_multiple_splits_the_primes():
+    """x^60+x+1 is irreducible and primitive over F_2, and 2^60 - 1 has 11
+    primes: splitting them in halves passes 231 exponent bits to power,
+    where dividing out one prime at a time passed 610."""
+    from period_lab.ff import make_field
+    from period_lab.poly import _rpowmod
+
+    F, g = make_field(2), (1, 1) + (0,) * 58 + (1,)
+    bits = []
+
+    def power(y, e):
+        bits.append(e.bit_length())
+        return _rpowmod(F, y, e, g)
+
+    fac = factor_integer(2 ** 60 - 1)
+    assert len(fac) == 11
+    assert order_from_multiple(fac, (0, 1), power, lambda y: y == (1,)) == 2 ** 60 - 1
+    assert sum(bits) <= 240
 
 
 def test_lcm64():

@@ -176,3 +176,23 @@ def test_primitive_polynomial_count(q, ks):
             if irreducible_order(f) == q ** k - 1:
                 count += 1
         assert count == euler_phi(q ** k - 1) // k
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4),
+                                 (2, 8), (2, 12)])
+def test_irreducible_order_matches_bruteforce(p, e):
+    """The order of x by the prime split equals the walk, on random
+    irreducibles of every degree d with q^d <= 2^12 over each field the
+    `orders` benchmark workload draws from."""
+    F = make_field(p, e)
+    rng = random.Random(F.q)
+    d = 1
+    while F.q ** d <= 2 ** 12:
+        found = 0
+        while found < 6:
+            g = Poly(F, [rng.randrange(1, F.q)]
+                     + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
+            if is_irreducible(g):
+                found += 1
+                assert _irreducible_order.__wrapped__(F, g.coeffs) == poly_order_bruteforce(g), g
+        d += 1

@@ -160,20 +160,47 @@ def test_rpowmod_matches_reference_grid(field):
                 assert got == _trim(got) and all(0 <= c < q for c in got)
 
 
-def test_prime_field_powmod_makes_no_field_callbacks():
-    """F_2 and the other prime fields run _rpowmod and the order of x
-    without the field's element operations."""
-    def refuse(*args):
-        raise AssertionError("prime-field powmod called a field operation")
+@pytest.mark.parametrize("field,degrees", [
+    (make_field(p, e), range(13)) for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2),
+                                                (3, 3), (2, 8), (2, 12))
+] + [(make_field(3, 6), (0, 1, 2, 3, 7, 12))], ids=repr)
+def test_extension_powmod_matches_reference(field, degrees):
+    """The log-table kernel against the oracle on non-monic moduli of
+    degree 0-12 and bases longer than the modulus.  F_729 keeps the tuple
+    path; its digit-wise additions are slow, so it runs fewer degrees."""
+    rng = random.Random(field.q)
+    q = field.q
 
-    # x^31+x^3+1 is primitive; the sextic over F_7 has order 4902
-    for p, mod, order in ((2, (1, 0, 0, 1) + (0,) * 27 + (1,), 2 ** 31 - 1),
-                          (7, (1, 4, 6, 6, 6, 0, 1), 4902)):
-        plain, F = make_field(p), make_field(p)
+    def rand(length):
+        return _trim([rng.randrange(q) for _ in range(length)] + [rng.randrange(1, q)])
+
+    for d in degrees:
+        mod = rand(d)
+        for base in ((), (0, 1), rand(max(d - 1, 0)), rand(d + 1), rand(2 * d + 3)):
+            for n in (0, 1, 2, rng.getrandbits(20), 2 ** 64 + 1):
+                got = _rpowmod(field, base, n, mod)
+                assert got == reference_powmod(field, base, n, mod), (d, base, n)
+                assert got == _trim(got) and all(0 <= c < q for c in got)
+
+
+def test_prime_field_powmod_makes_no_field_callbacks():
+    """F_2, the other prime fields and the table fields F_16 and F_9 run
+    _rpowmod and the order of x without the field's element operations."""
+    def refuse(*args):
+        raise AssertionError("table powmod called a field operation")
+
+    # x^31+x^3+1 is primitive; the sextic over F_7, the cubic over F_16 and
+    # the quartic over F_9 have orders 4902, 819 and 1640 by the walk
+    for (p, e), mod, order in (((2, 1), (1, 0, 0, 1) + (0,) * 27 + (1,), 2 ** 31 - 1),
+                               ((7, 1), (1, 4, 6, 6, 6, 0, 1), 4902),
+                               ((2, 4), (10, 8, 11, 1), 819),
+                               ((3, 2), (2, 5, 7, 3, 1), 1640)):
+        plain, F = make_field(p, e), make_field(p, e)
         F.mul = F.add = F.sub = F.neg = F.inv = refuse
         assert _irreducible_order.__wrapped__(F, mod) == order
-        scaled = tuple(c * (p - 1) % p for c in mod)  # non-monic over F_7
-        base, n = (1, 1, 1) * 12, 2 ** 64 + 1
+        lead = F.q - 1  # a non-monic modulus: mod times the element q - 1
+        scaled = tuple(plain.mul(c, lead) for c in mod)
+        base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1
         assert _rpowmod(F, base, n, scaled) == reference_powmod(plain, base, n, scaled)
 
 

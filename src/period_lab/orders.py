@@ -21,7 +21,7 @@ from .errors import (
     walk_back,
 )
 from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
-from .poly import Poly, _mk, _rmonic, _rpowmod, factor, is_irreducible
+from .poly import Poly, _kernel, _mk, _rmonic, factor, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,47 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
     return r, _mk(f.field, f.coeffs[r:])
 
 
-@lru_cache(maxsize=1 << 14)
-def _irreducible_order(field, coeffs: tuple) -> int:
+def _order_of_x(field, coeffs: tuple) -> int:
+    """Order of x modulo the monic irreducible `coeffs`, on its kernel."""
     d = len(coeffs) - 1
     _check_ceiling(d, field.q)
-    return order_from_multiple(
-        factor_integer(field.q ** d - 1),
-        _rpowmod(field, (0, 1), 1, coeffs),  # x reduced: a constant when d = 1
-        lambda y, e: _rpowmod(field, y, e, coeffs),
-        lambda y: y == (1,),
-    )
+    k = _kernel(field, coeffs)
+    one = k.one
+    return order_from_multiple(factor_integer(field.q ** d - 1),
+                               k.pack((0, 1)),  # x reduced: a constant when d = 1
+                               k.power, lambda y: y == one)
+
+
+def _order_key(q: int, coeffs: tuple):
+    """A compact cache key: the bytes of the coefficients when q <= 256,
+    otherwise the coefficients as the base-q digits of one int."""
+    if q <= 256:
+        return bytes(coeffs)
+    key = 0
+    for c in reversed(coeffs):
+        key = key * q + c
+    return key
+
+
+@lru_cache(maxsize=1 << 14)
+def _order_by_key(field, key) -> int:
+    if isinstance(key, bytes):
+        return _order_of_x(field, tuple(key))
+    coeffs = []
+    while key:
+        key, c = divmod(key, field.q)
+        coeffs.append(c)
+    return _order_of_x(field, tuple(coeffs))
+
+
+def _irreducible_order(field, coeffs: tuple) -> int:
+    return _order_by_key(field, _order_key(field.q, coeffs))
+
+
+# the interface of lru_cache, with the uncached computation as __wrapped__
+_irreducible_order.cache_info = _order_by_key.cache_info
+_irreducible_order.cache_clear = _order_by_key.cache_clear
+_irreducible_order.__wrapped__ = _order_of_x
 
 
 def irreducible_order(g: Poly) -> int:

@@ -9,6 +9,19 @@ when the derivative vanishes), then distinct-degree splitting, then
 randomized equal-degree splitting driven by a caller-visible seed, so
 results are deterministic and canonically ordered.
 
+Arithmetic modulo one polynomial runs on a kernel built once per (field,
+modulus) and kept in a small LRU cache, which is_irreducible, the
+distinct- and equal-degree splits and the order of x share.  There are
+three kernels, none of which calls the field's element operations:
+carry-less bit vectors over F_2; over odd p, lazily reduced ints below
+degree 6 (_KRONECKER_MIN_DEGREE) and Kronecker substitution from there on,
+one big-int product per multiplication on coefficients packed into 8 to
+64-bit slots; and exp/log tables for extension fields with q <= 4096.
+Over prime fields the factoring's divisions and gcds make no such call
+either: they run on packed bit vectors over F_2 and lazily reduced ints
+over odd p.  The tuple functions _rmul/_rdivmod/_rgcd serve Poly
+arithmetic and the remaining fields, and are the tests' oracle.
+
 Text grammar (CLI-facing):
     poly  := term (('+'|'-') term)*
     term  := coeff | coeff '*' var | coeff '*' var '^' exp | var | var '^' exp
@@ -24,6 +37,8 @@ import operator
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from struct import Struct
 
 from .errors import (
     ConstantPolynomial,
@@ -47,17 +62,28 @@ def _trim(cs) -> tuple:
     return tuple(cs[:n])
 
 
+# Over a prime field an element is its residue, so the helpers below
+# compute mod p in place of a call of the field's element operations.
+
 def _radd(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    add = F.add
     out = list(a)
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
+    if F.e == 1:
+        p = F.p
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p
+    else:
+        add = F.add
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
     return _trim(out)
 
 
 def _rneg(F, a):
+    if F.e == 1:
+        p = F.p
+        return tuple(-c % p for c in a)
     neg = F.neg
     return tuple(neg(c) for c in a)
 
@@ -69,6 +95,9 @@ def _rsub(F, a, b):
 def _rscale(F, c, a):
     if c == 0:
         return ()
+    if F.e == 1:
+        p = F.p
+        return tuple(c * x % p for x in a)
     mul = F.mul
     return tuple(mul(c, x) for x in a)
 
@@ -109,7 +138,7 @@ def _rdivmod(F, a, b):
 def _rmonic(F, a):
     if not a or a[-1] == 1:
         return tuple(a)
-    return _rscale(F, F.inv(a[-1]), a)
+    return _rscale(F, pow(a[-1], F.p - 2, F.p) if F.e == 1 else F.inv(a[-1]), a)
 
 
 def _rgcd(F, a, b):
@@ -198,43 +227,196 @@ def _log_mulmod(F, mod):
     return mulmod
 
 
+# -- kernels: arithmetic modulo one polynomial, and prime-field divmod/gcd ------
+
+# Odd prime fields multiply by Kronecker substitution from this modulus
+# degree on.  Per product it wins at every degree (over F_3 x1.3 at degree
+# 3, x2.1 at 6, x11 at 37), but below about 8 the fold table and the
+# packing cost more than DDF's few products per modulus save, while the
+# order of x gains from about 5.  On the odd fields of the `orders` mix,
+# crossovers from 4 to 10 timed alike within noise, 6 and 7 best.
+_KRONECKER_MIN_DEGREE = 6
+_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct formats of a slot
+
+
+def _slot_bits(p, d):
+    """Kronecker slot width for products mod a degree-d modulus over F_p:
+    the least of 8/16/32/64 bits above 2*d*(p-1)^2 + p, which bounds every
+    coefficient before its one reduction mod p; None past 64 bits."""
+    bound = 2 * d * (p - 1) ** 2 + p
+    return next((w for w in _SLOT_CODES if bound < 1 << w), None)
+
+
+def _fold_table(negm, p):
+    """[x^(d+i) mod g for 0 <= i < d - 1] as coefficient lists in [0, p),
+    where g is x^d - sum(negm[j] x^j) and d = len(negm)."""
+    rows, row = [], list(negm)
+    for _ in range(len(negm) - 1):
+        rows.append(row)
+        top = row[-1]
+        row = [(c + top * m) % p for c, m in zip([0, *row[:-1]], negm)]
+    return rows
+
+
+def _kronecker(negm, p, w):
+    """(pack, mulmod, unpack) mod x^d - sum(negm[j] x^j) over F_p on ints
+    holding one coefficient in [0, p) per w-bit slot.  A product is one
+    big-int multiplication; its high half folds back through the packed
+    x^(d+i) mod g, after one reduction mod p per high coefficient, and the
+    low d slots are then reduced mod p once each.  Slots are read and
+    written by int.to_bytes/from_bytes and a little-endian Struct."""
+    d, width = len(negm), w // 8
+    full, high = Struct(f"<{d}{_SLOT_CODES[w]}"), Struct(f"<{d - 1}{_SLOT_CODES[w]}")
+    shift, low, pad = w * d, (1 << w * d) - 1, (0,) * d
+
+    def to_int(cs):  # at most d coefficients
+        return int.from_bytes(full.pack(*cs, *pad[len(cs):]), "little")
+
+    table = [to_int(row) for row in _fold_table(negm, p)]
+
+    def mulmod(u, v):
+        prod = u * v
+        acc = prod & low
+        for h, t in zip(high.unpack((prod >> shift).to_bytes(width * (d - 1), "little")), table):
+            h %= p
+            if h:
+                acc += h * t
+        out = full.unpack(acc.to_bytes(width * d, "little"))
+        return int.from_bytes(full.pack(*[c % p for c in out]), "little")
+
+    def pack(a):
+        return to_int(a if len(a) <= d else _lazy_mulmod(a, (1,), negm, p))
+
+    def unpack(u):
+        return _trim(full.unpack(u.to_bytes(width * d, "little")))
+
+    return pack, mulmod, unpack
+
+
+class _Kernel:
+    """Arithmetic modulo one polynomial g of degree >= 1 over one field.
+    pack(a) turns a coefficient tuple of any length into the kernel's form
+    of a mod g, mulmod(u, v) multiplies two forms mod g, unpack(u) gives
+    the trimmed tuple back and one is the form of 1.  bits is the width
+    of a coefficient in a packed-int form (1 over F_2), None for tuples."""
+
+    __slots__ = ("pack", "mulmod", "unpack", "one", "bits")
+
+    def __init__(self, pack, mulmod, unpack=tuple, one=(1,), bits=None):
+        self.pack, self.mulmod, self.unpack = pack, mulmod, unpack
+        self.one, self.bits = one, bits
+
+    def power(self, u, n):
+        return _square_multiply(self.mulmod, self.one, u, n)
+
+    def powmod(self, a, n):
+        return self.unpack(self.power(self.pack(a), n))
+
+
+@lru_cache(maxsize=16)
+def _kernel(F, mod):
+    """The kernel of the modulus `mod` (a tuple, degree >= 1) over F.  It
+    is built once and shared through this cache by is_irreducible, DDF,
+    EDF and the order of x, which all make many calls on one modulus."""
+    if F.e > 1:
+        if F._log is not None and (F.p == 2 or F._add_t is not None):
+            mulmod = _log_mulmod(F, mod)
+            return _Kernel(lambda a: mulmod(a, (1,)), mulmod)
+        return _Kernel(lambda a: _rdivmod(F, a, mod)[1],
+                       lambda a, b: _rdivmod(F, _rmul(F, a, b), mod)[1])
+    if F.p == 2:
+        m = _pack2(mod)
+        return _Kernel(lambda a: _clmod(_pack2(a), m),
+                       lambda u, v: _clmod(_clmul(u, v), m), _unpack2, 1, 1)
+    p = F.p
+    c = pow(mod[-1], p - 2, p)  # the remainder mod c*mod is the same
+    negm = [-c * m % p for m in mod[:-1]]
+    w = _slot_bits(p, len(negm)) if len(negm) >= _KRONECKER_MIN_DEGREE else None
+    if w is not None:
+        return _Kernel(*_kronecker(negm, p, w), 1, w)
+
+    def mulmod(a, b):
+        return _lazy_mulmod(a, b, negm, p)
+    return _Kernel(lambda a: mulmod(a, (1,)), mulmod)
+
+
 def _rpowmod(F, base, n, mod):
-    """base^n mod `mod`, with no call of the field's element operations
-    except on large extension fields.  F_2 runs on carry-less bit
-    vectors, the other prime fields on lazily reduced ints, and extension
-    fields with log tables (q <= 4096; in odd characteristic also an
-    addition table, q <= 256) on table lookups; the remaining extension
-    fields multiply and reduce coefficient tuples through F.mul/F.add."""
+    """base^n mod `mod` on the cached kernel of (F, mod).  There are three
+    kernels, none of which calls the field's element operations: over F_2
+    carry-less bit vectors; over odd p lazily reduced ints below degree
+    _KRONECKER_MIN_DEGREE (6) and Kronecker-packed ints from there on (8,
+    16, 32 or 64-bit slots; lazy ints again past 64); over extension fields
+    with log tables (q <= 4096; in odd characteristic also an addition
+    table, q <= 256) table lookups.  The remaining extension fields
+    multiply and reduce coefficient tuples through F.mul/F.add."""
     if not mod:
         raise ZeroDivisionError("polynomial modulus is zero")
     if len(mod) == 1:
         return ()  # unit modulus: everything reduces to zero
+    return _kernel(F, mod).powmod(base, n)
+
+
+def _cldivmod(a: int, b: int):
+    """Carry-less quotient and remainder of bit vectors, b != 0."""
+    db, quot = b.bit_length(), 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        quot |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return quot, a
+
+
+def _lazy_divmod(a, b, p):
+    """divmod over F_p on lazily reduced ints: one inverse of b's leading
+    coefficient per call, and each coefficient taken mod p when it leads
+    and at the end."""
+    db = len(b) - 1
+    inv, low = pow(b[-1], p - 2, p), b[:-1]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db] * inv % p
+        if c:
+            quot[i] = c
+            for j, y in enumerate(low, i):
+                rem[j] -= c * y
+    return _trim(quot), _trim([r % p for r in rem[:db]])
+
+
+def _kdivmod(F, a, b):
+    """_rdivmod with no field callbacks over prime fields: packed bit
+    vectors over F_2, lazily reduced ints over odd p."""
     if F.e > 1:
-        if F._log is not None and (F.p == 2 or F._add_t is not None):
-            mulmod = _log_mulmod(F, mod)
-            return _square_multiply(mulmod, (1,), mulmod(base, (1,)), n)
-
-        def mulmod(a, b):
-            return _rdivmod(F, _rmul(F, a, b), mod)[1]
-        return _square_multiply(mulmod, (1,), _rdivmod(F, base, mod)[1], n)
+        return _rdivmod(F, a, b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     if F.p == 2:
-        m = _pack2(mod)
+        quot, rem = _cldivmod(_pack2(a), _pack2(b))
+        return _unpack2(quot), _unpack2(rem)
+    return _lazy_divmod(a, b, F.p)
 
-        def mulmod(a, b):
-            return _clmod(_clmul(a, b), m)
-        return _unpack2(_square_multiply(mulmod, 1, _clmod(_pack2(base), m), n))
-    p = F.p
-    c = pow(mod[-1], p - 2, p)  # the remainder mod c*mod is the same
-    negm = [-c * m % p for m in mod[:-1]]
 
-    def mulmod(a, b):
-        return _lazy_mulmod(a, b, negm, p)
-    return _square_multiply(mulmod, (1,), mulmod(base, (1,)), n)
+def _kgcd(F, a, b):
+    """_rgcd with no field callbacks over prime fields."""
+    if F.e > 1:
+        return _rgcd(F, a, b)
+    if F.p == 2:
+        a, b = _pack2(a), _pack2(b)
+        while b:
+            a, b = b, _clmod(a, b)
+        return _unpack2(a)
+    while b:
+        a, b = b, _lazy_divmod(a, b, F.p)[1]
+    return _rmonic(F, a)
 
 
 def _rderiv(F, a):
     if len(a) < 2:
         return ()
+    if F.e == 1:
+        p = F.p
+        return _trim([i * a[i] % p for i in range(1, len(a))])
     mul = F.mul
     out = []
     for i in range(1, len(a)):
@@ -431,16 +613,16 @@ def is_irreducible(f: Poly) -> bool:
     fm = _rmonic(F, f.coeffs)
     q = F.q
     checkpoints = {d // ell for ell, _ in factor_integer(d)} if d > 1 else set()
-    x = (0, 1)
-    xmod = _rdivmod(F, x, fm)[1]
-    h = x
+    k = _kernel(F, fm)
+    h = x = k.pack((0, 1))
+    xmod = k.unpack(x)
     for i in range(1, d + 1):
-        h = _rpowmod(F, h, q, fm)
+        h = k.power(h, q)
         if i in checkpoints:
-            if _rgcd(F, _rsub(F, h, xmod), fm) != (1,):
+            if _kgcd(F, _rsub(F, k.unpack(h), xmod), fm) != (1,):
                 return False
         elif i == d:
-            if h != xmod:
+            if h != x:
                 return False
     return True
 
@@ -473,6 +655,8 @@ class Factorization:
 
 def _rpth_root(F, a):
     # a has only x^(i*p) terms; invert Frobenius on each coefficient
+    if F.e == 1:
+        return tuple(a[::F.p])  # Frobenius is the identity on F_p
     k = F.p ** (F.e - 1)
     powf = F.pow
     return tuple(powf(a[i], k) for i in range(0, len(a), F.p))
@@ -482,17 +666,17 @@ def _squarefree_parts(F, f):
     """[(monic squarefree part, multiplicity), ...] for monic f, deg >= 1."""
     out = []
     # a zero derivative gives c = f and w = 1: all of f is a p-th power
-    c = _rgcd(F, f, _rderiv(F, f))
-    w = _rdivmod(F, f, c)[0]
+    c = _kgcd(F, f, _rderiv(F, f))
+    w = _kdivmod(F, f, c)[0]
     i = 1
     while len(w) > 1:
-        y = _rgcd(F, w, c)
-        z = _rdivmod(F, w, y)[0]
+        y = _kgcd(F, w, c)
+        z = _kdivmod(F, w, y)[0]
         if len(z) > 1:
             out.append((z, i))
         i += 1
         w = y
-        c = _rdivmod(F, c, y)[0]
+        c = _kdivmod(F, c, y)[0]
     if len(c) > 1:
         for part, mult in _squarefree_parts(F, _rpth_root(F, c)):
             out.append((part, mult * F.p))
@@ -504,21 +688,20 @@ def _distinct_degree_parts(F, f):
     squarefree f."""
     out = []
     q = F.q
-    g = f
-    h = _rdivmod(F, (0, 1), g)[1]
-    i = 0
-    while len(g) - 1 > 0:
+    g, i, ht, k = f, 0, (0, 1), None
+    while 2 * (i + 1) <= len(g) - 1:  # so deg g >= 4 and x is reduced
         i += 1
-        if 2 * i > len(g) - 1:
-            out.append((g, len(g) - 1))
-            break
-        h = _rpowmod(F, h, q, g)
-        xmod = _rdivmod(F, (0, 1), g)[1]
-        d = _rgcd(F, _rsub(F, h, xmod), g)
+        if k is None:  # the kernel of a new g, and h = ht mod g in its form
+            k = _kernel(F, g)
+            h = k.pack(ht)
+        h = k.power(h, q)
+        ht = k.unpack(h)
+        d = _kgcd(F, _rsub(F, ht, (0, 1)), g)
         if len(d) > 1:
             out.append((d, i))
-            g = _rdivmod(F, g, d)[0]
-            h = _rdivmod(F, h, g)[1]
+            g, k = _kdivmod(F, g, d)[0], None
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
@@ -529,22 +712,21 @@ def _equal_degree_split(F, f, d, rng):
     if n == d:
         return [f]
     q = F.q
+    k = _kernel(F, f)
     while True:
         r = _trim([rng.randrange(q) for _ in range(n)])
         if len(r) < 2:
             continue
         if F.p == 2:
-            acc = _rdivmod(F, r, f)[1]
-            s = acc
+            s = acc = k.unpack(k.pack(r))
             for _ in range(F.e * d - 1):
-                s = _rpowmod(F, s, 2, f)
+                s = k.powmod(s, 2)
                 acc = _radd(F, acc, s)
-            g = _rgcd(F, acc, f)
+            g = _kgcd(F, acc, f)
         else:
-            s = _rpowmod(F, r, (q ** d - 1) // 2, f)
-            g = _rgcd(F, _rsub(F, s, (1,)), f)
+            g = _kgcd(F, _rsub(F, k.powmod(r, (q ** d - 1) // 2), (1,)), f)
         if 1 < len(g) < len(f):
-            rest = _rdivmod(F, f, g)[0]
+            rest = _kdivmod(F, f, g)[0]
             return _equal_degree_split(F, g, d, rng) + _equal_degree_split(F, rest, d, rng)
 
 

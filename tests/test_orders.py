@@ -77,6 +77,24 @@ def test_caches_are_bounded():
         assert cached.cache_info().maxsize is not None
 
 
+def test_irreducible_order_cache_keys():
+    """The order cache keys a modulus by its bytes (q <= 256) or by one
+    base-q int (here F_4096 and F_1048573), and a cached answer is the
+    uncached one, also for moduli with a zero middle coefficient."""
+    rng = random.Random(4)
+    _irreducible_order.cache_clear()
+    for F in (F5, make_field(2, 8), make_field(2, 12), make_field(1048573)):
+        found = set()
+        while len(found) < 3:
+            g = Poly(F, [rng.randrange(1, F.q), 0, rng.randrange(F.q), 1])
+            if g.coeffs not in found and is_irreducible(g):
+                found.add(g.coeffs)
+                want = _irreducible_order.__wrapped__(F, g.coeffs)
+                assert _irreducible_order(F, g.coeffs) == want  # a miss
+                assert _irreducible_order(F, g.coeffs) == want  # a hit
+    assert _irreducible_order.cache_info().hits == 12
+
+
 def test_irreducible_order_divides_group_order():
     for F in (F2, F3):
         for d in (1, 2, 3):

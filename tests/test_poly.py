@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from period_lab import poly
 from period_lab.errors import (
     ConstantPolynomial,
     MixedContexts,
@@ -10,8 +11,9 @@ from period_lab.errors import (
     ZeroPolynomial,
 )
 from period_lab.ff import make_field
-from period_lab.orders import _irreducible_order
+from period_lab.orders import _irreducible_order, poly_order
 from period_lab.poly import (
+    _KRONECKER_MIN_DEGREE,
     Factorization,
     Poly,
     factor,
@@ -20,9 +22,14 @@ from period_lab.poly import (
     is_irreducible,
     monic_polys,
     parse_poly,
+    _kdivmod,
+    _kernel,
+    _kgcd,
     _rdivmod,
+    _rgcd,
     _rmul,
     _rpowmod,
+    _slot_bits,
     _trim,
     powmod,
     xgcd,
@@ -202,6 +209,137 @@ def test_prime_field_powmod_makes_no_field_callbacks():
         scaled = tuple(plain.mul(c, lead) for c in mod)
         base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1
         assert _rpowmod(F, base, n, scaled) == reference_powmod(plain, base, n, scaled)
+
+    # factor, is_irreducible and poly_order over F_2 and F_7 as well: their
+    # squarefree split, p-th roots, DDF and EDF divide and take gcds on
+    # packed or lazily reduced ints
+    for p in (2, 7):
+        plain, F = make_field(p), make_field(p)
+        F.mul = F.add = F.sub = F.neg = F.inv = refuse
+        rng = random.Random(p)
+
+        def rand(d):
+            return Poly(plain, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+
+        for _ in range(12):
+            # repeated factors, a p-th power and a non-monic leading coefficient
+            f = rand(rng.randrange(1, 5)) ** 2 * rand(rng.randrange(1, 4)) ** p * rand(8)
+            fr = Poly(F, f.coeffs)
+            fac = factor(fr)
+            assert fac == factor(f) and fac.expand(plain) == f
+            assert poly_order(fr) == poly_order(f)
+            for g, _ in fac:
+                assert is_irreducible(Poly(F, g.coeffs))
+            assert not is_irreducible(fr)
+
+
+# (p, degrees) for the kernel checks: both sides of the Kronecker crossover
+# (degree 6) and of each slot-width step.  F_3 and F_5 go from 8 to 16-bit
+# slots at degree 32 and 8, F_73 from 16 to 32 bits at 7 and F_17519 from
+# 32 to 64 bits at 7; F_1048573 is on 64-bit slots at every degree.
+KERNEL_GRID = [(2, (1, 5, 6, 40, 63)), (3, (5, 6, 31, 32, 37)), (5, (5, 6, 7, 8, 25)),
+               (7, (5, 6, 21)), (13, (5, 6, 17)), (73, (6, 7)), (17519, (6, 7)),
+               (1048573, (5, 6, 70))]
+SLOT_STEPS = {(3, 31): 8, (3, 32): 16, (5, 7): 8, (5, 8): 16, (73, 6): 16, (73, 7): 32,
+              (17519, 6): 32, (17519, 7): 64, (1048573, 6): 64, (1048573, 70): 64}
+
+
+def check_kernels(p, degrees):
+    """The cached kernels over F_p against the tuple oracle, on a random
+    non-monic modulus of each degree: powers of zero, x, short, full and
+    long bases; products of the all-(p-1) element, which has the largest
+    slot sums, and of random elements; divmod and gcd of random pairs and
+    of pairs with a common factor."""
+    F, rng = make_field(p), random.Random(p)
+
+    def rand(length, lead=True):
+        cs = [rng.randrange(p) for _ in range(length)]
+        return _trim(cs + [rng.randrange(1, p)] if lead else cs)
+
+    for d in degrees:
+        mod = rand(d)
+        k = _kernel(F, mod)
+        top = (p - 1,) * d
+        for base in ((), (0, 1), rand(d - 1), top, rand(d + 1), rand(2 * d + 5)):
+            for n in (0, 1, 2, p - 1, rng.getrandbits(20)):
+                if d * d * n.bit_length() > 2 ** 15:
+                    continue  # the oracle's cost grows as d^2 log n
+                assert k.powmod(base, n) == reference_powmod(F, base, n, mod), (p, d, base, n)
+        for a, b in ((top, top), (rand(d - 1, lead=False), top), (rand(d - 1), rand(d - 1))):
+            want = _rdivmod(F, _rmul(F, a, b), mod)[1]
+            assert k.unpack(k.mulmod(k.pack(a), k.pack(b))) == want, (p, d, a, b)
+        common = rand(d // 2 + 1)
+        for a, b in ((rand(2 * d), mod), (mod, rand(d)), ((), mod), (rand(d - 1), mod),
+                     (_rmul(F, rand(d), common), _rmul(F, rand(d - 1), common))):
+            assert _kdivmod(F, a, b) == _rdivmod(F, a, b), (p, d, a, b)
+            assert _kgcd(F, a, b) == _rgcd(F, a, b), (p, d, a, b)
+
+
+@pytest.mark.parametrize("p,degrees", KERNEL_GRID, ids=[f"F{p}" for p, _ in KERNEL_GRID])
+def test_kernels_match_tuple_oracle(p, degrees):
+    check_kernels(p, degrees)
+
+
+def test_kernel_slot_widths():
+    for (p, d), bits in SLOT_STEPS.items():
+        assert _slot_bits(p, d) == bits, (p, d)
+        if d >= _KRONECKER_MIN_DEGREE:
+            assert _kernel(make_field(p), (1,) * d + (1,)).bits == bits, (p, d)
+    for p in (3, 1048573):  # below the crossover: lazily reduced tuples
+        assert _kernel(make_field(p), (1, 2, 1, 1, 0, 1)).bits is None
+    assert _kernel(F2, (1, 1, 0, 1)).bits == 1
+    # the chooser answers from (p, d) alone, so a degree past 64-bit slots is
+    # refused before any input of that size exists
+    assert _slot_bits(1048573, 1 << 24) is None
+
+
+def test_kernel_falls_back_past_64_bit_slots(monkeypatch):
+    """Where the chooser gives no slot width, the kernel multiplies on
+    _lazy_mulmod and still matches the oracle."""
+    monkeypatch.setattr(poly, "_slot_bits", lambda p, d: None)
+    _kernel.cache_clear()
+    try:
+        assert _kernel(make_field(1048573), (3,) * 70 + (1,)).bits is None
+        check_kernels(1048573, (6, 70))
+    finally:
+        _kernel.cache_clear()
+
+
+@pytest.mark.parametrize("mutant", ["fold off by one", "slots one size too narrow"])
+def test_kernel_check_catches_mutants(monkeypatch, mutant):
+    """check_kernels fails on a Kronecker kernel that folds the coefficient
+    of x^(d+i) in as x^(d+i-1), and on one with slots a size too narrow
+    (a wrong answer, or a slot sum that overflows its unpacking)."""
+    fold, bits = poly._fold_table, poly._slot_bits
+    if mutant == "fold off by one":
+        monkeypatch.setattr(poly, "_fold_table", lambda negm, p: (
+            [[0] * (len(negm) - 1) + [1]] + fold(negm, p)[:-1]))
+    else:
+        narrower = {16: 8, 32: 16, 64: 32}
+        monkeypatch.setattr(poly, "_slot_bits", lambda p, d: narrower.get(bits(p, d), bits(p, d)))
+    _kernel.cache_clear()
+    try:
+        with pytest.raises((AssertionError, OverflowError)):
+            for p, degrees in KERNEL_GRID:
+                check_kernels(p, degrees)
+    finally:
+        _kernel.cache_clear()
+
+
+def test_one_kernel_per_modulus():
+    """The kernel cache is bounded, and the order of a degree-20 irreducible
+    over F_3 builds one kernel, which DDF and the order of x share."""
+    assert _kernel.cache_info().maxsize <= 64
+    rng = random.Random(20)
+    while True:
+        g = Poly(F3, [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(19)] + [1])
+        if is_irreducible(g):
+            break
+    _kernel.cache_clear()
+    _irreducible_order.cache_clear()
+    poly_order(g)
+    info = _kernel.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_pow_matches_repeated_multiplication():

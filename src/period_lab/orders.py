@@ -65,30 +65,14 @@ def _order_of_x(field, coeffs: tuple) -> int:
                                k.power, lambda y: y == one)
 
 
-def _order_key(q: int, coeffs: tuple):
-    """A compact cache key: the bytes of the coefficients when q <= 256,
-    otherwise the coefficients as the base-q digits of one int."""
-    if q <= 256:
-        return bytes(coeffs)
-    key = 0
-    for c in reversed(coeffs):
-        key = key * q + c
-    return key
-
-
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(field, key) -> int:
-    if isinstance(key, bytes):
-        return _order_of_x(field, tuple(key))
-    coeffs = []
-    while key:
-        key, c = divmod(key, field.q)
-        coeffs.append(c)
-    return _order_of_x(field, tuple(coeffs))
+    return _order_of_x(field, tuple(key))
 
 
 def _irreducible_order(field, coeffs: tuple) -> int:
-    return _order_by_key(field, _order_key(field.q, coeffs))
+    # a compact key: the bytes of the coefficients when q <= 256
+    return _order_by_key(field, bytes(coeffs) if field.q <= 256 else coeffs)
 
 
 # the interface of lru_cache, with the uncached computation as __wrapped__

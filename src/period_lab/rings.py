@@ -11,9 +11,9 @@ coefficient tuples and cyclic-convolution multiplication.  When p does
 not divide n the defining polynomial is squarefree and the algebra
 decomposes into a ProductRing of fields, one per irreducible factor of
 t^n - 1 (each component field is built on that factor as its modulus, so
-projection is plain polynomial reduction); otherwise the largest period
-comes from walking every recurrence, and that sweep is refused up front
-when its worst-case total of walked steps exceeds the budget.
+projection is plain polynomial reduction).  For every n the algebra is a
+product of local rings F_Q[u]/(u^(p^a)), and its period set of degree k
+is the lcm-closure of their sets P_k(F_Q) * {1, p, ..., p^a}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import prod
 from .errors import BudgetExceeded, LengthMismatch, OutOfRange, default_budget
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
-from .period_sets import PeriodSet, period_set_exact
+from .period_sets import PeriodSet, divisors, period_set_exact, set_product
 from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
@@ -331,51 +331,39 @@ def make_group_algebra(p: int, n: int) -> GroupAlgebra:
     return GroupAlgebra(p, n)
 
 
-def group_algebra_period(ga: GroupAlgebra, coeffs, s0=None, *,
-                         via_decomposition: bool = False) -> int:
+def group_algebra_period(ga: GroupAlgebra, coeffs, s0=None) -> int:
     """Period of a recurrence over the algebra, from state s0 (impulse by
-    default): direct quotient-ring walk, or the CRT route for comparison."""
+    default), by walking the quotient-ring state."""
     rec = Recurrence(ga, coeffs)
-    if s0 is None:
-        s0 = impulse_state(rec)
-    else:
-        s0 = tuple(ga.element(s) for s in s0)
-    if not via_decomposition:
-        return period_bruteforce(rec, s0)
-    ring_rec = ga.project_recurrence(rec)
-    ring_s0 = tuple(ga.project(s) for s in s0)
-    return period_over_ring(ring_rec, ring_s0)
+    s0 = impulse_state(rec) if s0 is None else tuple(ga.element(s) for s in s0)
+    return period_bruteforce(rec, s0)
 
 
 def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
                              budget: int | None = None) -> int:
-    """Largest degree-k period over the algebra.
+    """Largest degree-k period over the algebra: the max of the lcm-closure
+    of its local period sets P_k(F_Q) * D(p^a), one for each irreducible
+    factor f of t^n - 1 with Q = p^deg(f), where p^a is the p-part of n.
 
-    Semisimple algebras use the lcm-closure of the component period sets;
-    otherwise every unit-c_0 recurrence is walked from the impulse state
-    (which attains that recurrence's maximum).  Before the units scan the
-    |A|^k states, and before any walk the worst-case total of walked
-    steps |U|*|A|^(2k-1) (recurrences times states), must fit the budget.
+    Write n = p^a * n' with p not dividing n'.  Then t^n - 1 = prod f^(p^a)
+    and, by CRT, the algebra is a product of local rings A = F_Q[u]/(u^(p^a))
+    (u -> f(t)); periods over a product are lcms of component periods.
+    Over A, reduction mod u sends a companion matrix M to one of order
+    E in P_k(F_Q), and M^E = I + uX has order dividing p^a, so a period T
+    divides E * p^a and equals gcd(T, E) * p^j with j <= a; P_k(F_Q) is
+    closed under divisors.  Conversely, for g of degree <= k with g(0) != 0
+    and j <= a, x has order ord(g^(p^j)) = ord(g) * p^j in A[x]/(G) with
+    G = g(x) - u^(p^(a-j)), which is free over F_Q[x]/(g^(p^j)); the factor
+    (x - 1)^(k - deg g) pads G to degree k without changing the sequence
+    (Lidl & Niederreiter, Thm 3.8; Ward 1933 for Z/p^e).  With a = 0 this
+    is the field decomposition.  `budget` (default 10^6, or
+    PERIOD_LAB_BUDGET) caps the candidate periods of each local set and
+    the lcm pairs of each closure step.
     """
-    if k < 1:
-        raise OutOfRange("degree must be >= 1")
-    if budget is None:
-        budget = default_budget()
-    if ga.semisimple:
-        return max(period_set_over_ring(ga.decomposition, k, budget=budget))
-    if ga.size ** k > budget:
-        raise BudgetExceeded(f"{ga.size ** k} states exceed the budget {budget}")
-    units = list(ga.units())
-    steps = len(units) * ga.size ** (2 * k - 1)
-    if steps > budget:
-        raise BudgetExceeded(
-            f"{steps} worst-case walk steps exceed the budget {budget}")
-    best = 1
-    for c0 in units:
-        for rest in itertools.product(ga.elements(), repeat=k - 1):
-            rec = Recurrence(ga, (c0, *rest))
-            best = max(best, period_bruteforce(rec, impulse_state(rec), budget=budget))
-    return best
+    local_sets = [set_product(period_set_exact(k, ga.p ** f.degree, budget=budget),
+                              divisors(m))
+                  for f, m in ga.factors]
+    return max(lcm_closure(local_sets, budget=budget))
 
 
 def sample_recurrence(ga: GroupAlgebra, k: int, seed: int = 0) -> tuple:

@@ -30,7 +30,6 @@ from .poly import Poly, monic_polys
 from .rings import (
     GroupAlgebra,
     group_algebra_max_period,
-    group_algebra_period,
     make_product_ring,
     max_period_bound,
     period_over_ring,
@@ -217,18 +216,28 @@ def _check_ring_fibonacci():
     return (60, 60), (period_over_ring(rec, s0), period_bruteforce(rec, s0))
 
 
+def _exhaustive_periods(ring, k):
+    """Periods of every unit-c0 recurrence of degree k over the ring, from
+    every state.  The state map permutes the states, so each cycle is
+    walked once and the states on it are skipped."""
+    reached = set()
+    for coeffs in it.product(ring.elements(), repeat=k):
+        if not ring.is_unit(coeffs[0]):
+            continue
+        rec = Recurrence(ring, coeffs)
+        seen = set()
+        for s0 in it.product(ring.elements(), repeat=k):
+            if s0 not in seen:
+                period = period_bruteforce(rec, s0)
+                terms = generate(rec, s0, period + k - 1)
+                seen.update(tuple(terms[i:i + k]) for i in range(period))
+                reached.add(period)
+    return reached
+
+
 def _check_lcm_closure_exhaustive():
-    # every unit-c0 recurrence and every state over F_2 + F_3, degrees 1..2
     ring = make_product_ring([2, 3])
-    reached = {1: set(), 2: set()}
-    for k in (1, 2):
-        for coeffs in it.product(ring.elements(), repeat=k):
-            if not ring.is_unit(coeffs[0]):
-                continue
-            rec = Recurrence(ring, coeffs)
-            for s0 in it.product(ring.elements(), repeat=k):
-                reached[k].add(period_bruteforce(rec, s0))
-    expected = tuple(sorted(reached[k]) for k in (1, 2))
+    expected = tuple(sorted(_exhaustive_periods(ring, k)) for k in (1, 2))
     computed = tuple(list(period_set_over_ring(ring, k)) for k in (1, 2))
     return expected, computed
 
@@ -253,10 +262,18 @@ def _check_group_algebra_a5():
     ga = GroupAlgebra(2, 5)
     shape = [c.spec() for c in ga.decomposition.components]
     maxp = group_algebra_max_period(ga, 1)
-    coeffs = sample_recurrence(ga, 2, seed=7)
-    direct = group_algebra_period(ga, coeffs)
-    crt = group_algebra_period(ga, coeffs, via_decomposition=True)
+    rec = Recurrence(ga, sample_recurrence(ga, 2, seed=7))
+    s0 = impulse_state(rec)
+    direct = period_bruteforce(rec, s0)
+    crt = period_over_ring(ga.project_recurrence(rec), tuple(ga.project(s) for s in s0))
     return (["2", "2^4/x^4+x^3+x^2+x+1"], 15, True), (shape, maxp, direct == crt)
+
+
+def _check_group_algebra_local_sets():
+    cases = [(GroupAlgebra(p, n), k)
+             for p, n, k in ((2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 4, 1), (3, 3, 1))]
+    return ([max(_exhaustive_periods(ga, k)) for ga, k in cases],
+            [group_algebra_max_period(ga, k) for ga, k in cases])
 
 
 def _check_group_algebra_small():
@@ -337,6 +354,10 @@ _CHECKS = (
     ("group-algebra-a5", "rings",
      "F_2[t]/<t^5-1> = F_2 + F_16; degree-1 max period 15; CRT route agrees",
      _check_group_algebra_a5),
+    ("group-algebra-local-sets", "rings",
+     "local-set max period = exhaustive walk maximum for F_2[C_2] (k <= 3), "
+     "F_2[C_4] and F_3[C_3] (k = 1)",
+     _check_group_algebra_local_sets),
     ("group-algebra-small", "rings",
      "max periods 2 and 3 for F_3[t]/<t^2-1> and F_2[t]/<t^3-1>; t^4-1 repeats over F_2",
      _check_group_algebra_small),

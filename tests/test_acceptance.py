@@ -20,6 +20,7 @@ from period_lab.rings import (
     group_algebra_period,
     make_group_algebra,
     make_product_ring,
+    period_over_ring,
     period_set_over_ring,
     sample_recurrence,
     verify_field_characterization,
@@ -29,6 +30,7 @@ from period_lab.sequences import (
     companion_order_bruteforce,
     generate,
     impulse_response_period,
+    impulse_state,
     minimal_poly,
     period_bruteforce,
 )
@@ -174,9 +176,10 @@ def test_criterion_11_group_algebra():
     maxp = group_algebra_max_period(ga, 1)
     assert maxp == 15
     assert maxp >= 2 ** 4 - 1
-    coeffs = sample_recurrence(ga, 2, seed=11)
-    direct = group_algebra_period(ga, coeffs)
-    via_crt = group_algebra_period(ga, coeffs, via_decomposition=True)
+    rec = Recurrence(ga, sample_recurrence(ga, 2, seed=11))
+    s0 = impulse_state(rec)
+    direct = group_algebra_period(ga, rec.coeffs)
+    via_crt = period_over_ring(ga.project_recurrence(rec), tuple(ga.project(s) for s in s0))
     assert direct == via_crt
     print("PASS criterion 11: F_2[t]/<t^5-1> = F_2+F_16, max period 15, CRT-consistent")
 

@@ -78,9 +78,9 @@ def test_caches_are_bounded():
 
 
 def test_irreducible_order_cache_keys():
-    """The order cache keys a modulus by its bytes (q <= 256) or by one
-    base-q int (here F_4096 and F_1048573), and a cached answer is the
-    uncached one, also for moduli with a zero middle coefficient."""
+    """The order cache keys a modulus by its bytes (q <= 256) or by its
+    coefficient tuple (here F_4096 and F_1048573), and a cached answer is
+    the uncached one, also for moduli with a zero middle coefficient."""
     rng = random.Random(4)
     _irreducible_order.cache_clear()
     for F in (F5, make_field(2, 8), make_field(2, 12), make_field(1048573)):

@@ -7,7 +7,7 @@ from period_lab.errors import (
     OutOfRange,
 )
 from period_lab.ff import make_field
-from period_lab.intfactor import split_prime_power
+from period_lab.intfactor import factor_integer, split_prime_power
 from period_lab.period_sets import (
     PeriodSet,
     divisors,
@@ -177,6 +177,19 @@ def test_lower_bound_inside_exact():
     # the paper's degree-5 example: (x^2+x+1)(x^3+x+1) has order 21
     assert 21 in period_set_exact(5, 2)
     assert 21 not in period_set_lower_bound(5, 2)
+
+
+def test_exact_sets_are_closed_under_divisors():
+    # a period v of degree k has every divisor of v as a degree-k period;
+    # the group-algebra route needs it (a local period gcd(T, E) lies in P_k)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        k = 1
+        while q ** k <= 2 ** 24:
+            pset = period_set_exact(k, q)
+            missing = [(v, r) for v in pset for r, _ in factor_integer(v)
+                       if v // r not in pset]
+            assert not missing, (q, k, missing[:5])
+            k += 1
 
 
 def test_exact_budget(monkeypatch):

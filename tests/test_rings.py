@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,7 +13,13 @@ from period_lab.errors import (
 )
 from period_lab.ff import make_field
 from period_lab.intfactor import lcm64
-from period_lab.period_sets import PeriodSet, period_set_closed_form, period_set_exact
+from period_lab.period_sets import (
+    PeriodSet,
+    divisors,
+    period_set_closed_form,
+    period_set_exact,
+    set_product,
+)
 from period_lab.poly import is_irreducible, parse_poly
 from period_lab.rings import (
     component_periods,
@@ -36,6 +43,7 @@ from period_lab.sequences import (
     companion_order_bruteforce,
     generate,
     impulse_response_period,
+    impulse_state,
     period_bruteforce,
 )
 
@@ -317,23 +325,24 @@ def test_group_algebra_nonsemisimple_bruteforce():
     # oracle by hand: the unit group is {1, t} and t has order 2
     assert sorted(ga.units()) == [(0, 1), (1, 0)]
     assert group_algebra_max_period(ga, 1) == 2
-    with pytest.raises(BudgetExceeded):
-        group_algebra_max_period(make_group_algebra(2, 4), 2, budget=100)
+
+
+def crt_period(ga, coeffs, s0=None):
+    """The period over the algebra's field decomposition (semisimple only)."""
+    rec = Recurrence(ga, coeffs)
+    s0 = impulse_state(rec) if s0 is None else s0
+    return period_over_ring(ga.project_recurrence(rec), tuple(ga.project(s) for s in s0))
 
 
 def test_group_algebra_crt_period_consistency():
     ga = make_group_algebra(2, 5)
     for seed in range(5):
         coeffs = sample_recurrence(ga, 2, seed=seed)
-        assert group_algebra_period(ga, coeffs) == group_algebra_period(
-            ga, coeffs, via_decomposition=True
-        )
+        assert group_algebra_period(ga, coeffs) == crt_period(ga, coeffs)
     # and on a non-impulse state
     coeffs = sample_recurrence(ga, 1, seed=3)
     s0 = ((1, 0, 1, 1, 0),)
-    assert group_algebra_period(ga, coeffs, s0) == group_algebra_period(
-        ga, coeffs, s0, via_decomposition=True
-    )
+    assert group_algebra_period(ga, coeffs, s0) == crt_period(ga, coeffs, s0)
 
 
 def test_group_algebra_sequences_run_directly():
@@ -353,7 +362,7 @@ def test_group_algebra_sequences_run_directly():
     (lambda: component_periods(RING_FIB, RING_FIB_S0), "period", [3, 20]),
     (lambda: period_over_ring(RING_FIB, RING_FIB_S0), "period", 60),
     (lambda: group_algebra_period(GA_5_2, (1, 1)), "period", 20),
-    (lambda: group_algebra_period(GA_5_2, (1, 1), via_decomposition=True), "period", 20),
+    (lambda: crt_period(GA_5_2, (1, 1)), "period", 20),
     (lambda: poly_order_bruteforce(parse_poly(make_field(5), "x^2-x-1")), "order", 20),
     (lambda: companion_order_bruteforce(F5_FIB), "matrix order", 20),
 ], ids=["period_bruteforce", "SequenceRun.period", "impulse_response_period",
@@ -368,27 +377,79 @@ def test_default_budget_stops_every_walk(monkeypatch, walk, unit, answer):
     assert walk() == answer
 
 
-def test_nonsemisimple_sweep_is_bounded_as_a_whole(monkeypatch):
-    # F_2[C_2] at k = 5: 4^5 = 1024 states fit a budget of 5000, but the
-    # sweep's worst case is |U| * |A|^(2k-1) = 2 * 4^9 = 524,288 walked
-    # steps (19,629 in fact, largest period 62), so it is refused before
-    # any walk starts
-    import period_lab.rings as rings
+def sweep_periods(ga, k, every_state=False):
+    """The oracle for group_algebra_max_period: the periods of every
+    unit-c_0 recurrence of degree k over the algebra, each walked from the
+    impulse state (which attains the recurrence's largest period) or from
+    every state.  The ring operations are memoized, so each sum and product
+    of two elements is formed once."""
+    add, mul, zero = functools.cache(ga.add), functools.cache(ga.mul), ga.zero
+    elements = list(ga.elements())
+    impulse = ((zero,) * (k - 1) + (ga.one,),)
+    periods = set()
+    for c0 in ga.units():
+        for rest in itertools.product(elements, repeat=k - 1):
+            terms = [(i, c) for i, c in enumerate((c0, *rest)) if c != zero]
+            for start in itertools.product(elements, repeat=k) if every_state else impulse:
+                state, n = start, 0
+                while n == 0 or state != start:
+                    nxt = zero
+                    for i, c in terms:
+                        if state[i] != zero:
+                            nxt = add(nxt, mul(c, state[i]))
+                    state = state[1:] + (nxt,)
+                    n += 1
+                periods.add(n)
+    return periods
 
+
+def local_closure(ga, k):
+    """lcm-closure of the local sets P_k(F_Q) * D(p^a), one per factor."""
+    return lcm_closure([set_product(period_set_exact(k, ga.p ** f.degree), divisors(m))
+                        for f, m in ga.factors])
+
+
+# non-semisimple F_2[C_2], F_3[C_3], F_2[C_4], F_2[C_6], F_3[C_6], F_2[C_8] and
+# F_5[C_5], then the semisimple F_2[C_3], F_2[C_5], F_3[C_2] and F_3[C_4]
+SWEEP_CASES = [(2, 2, k) for k in range(1, 6)] + [
+    (3, 3, 1), (3, 3, 2), (2, 4, 1), (2, 4, 2), (2, 4, 3), (2, 6, 1), (2, 6, 2),
+    (3, 6, 1), (2, 8, 1), (5, 5, 1), (2, 3, 2), (2, 5, 2), (3, 2, 3), (3, 4, 2),
+]
+
+
+@pytest.mark.parametrize("p,n,k", SWEEP_CASES)
+def test_group_algebra_max_period_matches_sweep(p, n, k):
+    ga = make_group_algebra(p, n)
+    assert group_algebra_max_period(ga, k) == max(sweep_periods(ga, k))
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 2, 1), (2, 2, 2), (2, 2, 3),
+                                   (2, 4, 1), (3, 3, 1), (2, 6, 1)])
+def test_group_algebra_period_set_is_local_closure(p, n, k):
+    # every recurrence and every state reach exactly the closure
+    ga = make_group_algebra(p, n)
+    assert sweep_periods(ga, k, every_state=True) == local_closure(ga, k)
+
+
+def test_group_algebra_max_period_past_the_sweep():
+    # a walk of every recurrence has 2^31 worst-case steps for F_2[C_4] at
+    # k = 4 (and answered 60 after 13 s); P_8(F_2) has max 255, times p = 2
+    assert group_algebra_max_period(make_group_algebra(2, 4), 4) == 60
+    assert group_algebra_max_period(make_group_algebra(2, 2), 8) == 510
+
+
+def test_group_algebra_max_period_refusals():
+    # the exact route's and the closure's typed errors, as on a product ring
     ga = make_group_algebra(2, 2)
-
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the sweep walked before checking its total")
-
-    monkeypatch.setattr(rings, "period_bruteforce", no_walk)
-    monkeypatch.setenv("PERIOD_LAB_BUDGET", "5000")
-    with pytest.raises(BudgetExceeded,
-                       match="^524288 worst-case walk steps exceed the budget 5000$"):
-        group_algebra_max_period(ga, 5)
-    with pytest.raises(BudgetExceeded, match="exceed the budget 524287$"):
-        group_algebra_max_period(ga, 5, budget=524287)
-    monkeypatch.undo()
-    assert group_algebra_max_period(ga, 5, budget=524288) == 62
+    with pytest.raises(OutOfRange, match="^degree 64 over F_2 is past the 64-bit limit"):
+        group_algebra_max_period(ga, 64)
+    with pytest.raises(BudgetExceeded, match="^20016 candidate periods exceed the budget 20000$"):
+        group_algebra_max_period(ga, 63, budget=20000)
+    with pytest.raises(BudgetExceeded, match="^390 lcm pairs exceed the budget 100$"):
+        group_algebra_max_period(make_group_algebra(2, 6), 4, budget=100)
+    # 251^7 - 1 is in P_7(F_251), and 251 times it is past 2^63 - 1
+    with pytest.raises(OverflowError, match="^period product exceeds the 64-bit range$"):
+        group_algebra_max_period(make_group_algebra(251, 251), 7)
 
 
 def test_group_algebra_validation():

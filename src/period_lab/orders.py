@@ -6,6 +6,13 @@ F_q[x]/<g>.  The pipeline strips x^r, factors g, handles each repeated
 irreducible via the characteristic boost e*p^t, and combines with lcm;
 poly_order_bruteforce walks powers of x directly and is independent of
 factorization, so the two routes check each other.
+
+The order of an irreducible g of degree d over F_q = F_{p^e} is the
+multiplicative order of any root a of g in F_{q^d}^* (Lidl & Niederreiter,
+Thm 3.3), so it is the same number over every field that holds the
+coefficients of a's minimal polynomial.  _order_of_x therefore computes
+it over F_p, on the minimal polynomial of a over F_p (the product of the
+conjugates of g under c -> c^p), where the packed prime-field kernels run.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from .errors import (
     ZeroPolynomial,
     walk_back,
 )
+from .ff import FieldCtx
 from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
-from .poly import Poly, _kernel, _mk, _rmonic, factor, is_irreducible
+from .poly import Poly, _kernel, _log_mulmod, _mk, _rmonic, _rmul, factor, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,57 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
     return r, _mk(f.field, f.coeffs[r:])
 
 
+def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
+    """The minimal polynomial over F_p of a root of the monic irreducible
+    `coeffs` over field = F_{p^e}: the product of its distinct conjugates
+    under c -> c^p (see _order_of_x), with coefficients in F_p, whose
+    elements encode as their residues.  Table fields apply sigma and multiply on the exp/log (and addition)
+    tables, through _log_mulmod modulo x^N with N past the product's
+    degree, which never reduces; the other fields use F.pow and _rmul."""
+    p, q, log_t = field.p, field.q, field._log
+    if log_t is not None:
+        exp2 = field._exp2
+
+        def frob(c):
+            return exp2[log_t[c] * p % (q - 1)] if c else 0
+    else:
+        def frob(c):
+            return field.pow(c, p)
+    if log_t is not None and (p == 2 or field._add_t is not None):
+        mul = _log_mulmod(field, (0,) * (field.e * (len(coeffs) - 1) + 1) + (1,))
+    else:
+        def mul(a, b):
+            return _rmul(field, a, b)
+    out = conj = coeffs
+    while True:
+        conj = tuple(frob(c) for c in conj)
+        if conj == coeffs:
+            return out
+        out = mul(out, conj)
+
+
 def _order_of_x(field, coeffs: tuple) -> int:
-    """Order of x modulo the monic irreducible `coeffs`, on its kernel."""
+    """Order of x modulo the monic irreducible `coeffs` of degree d.
+
+    Over F_p it is found on the kernel of the modulus, from the factored
+    multiple p^d - 1.  Over F_q with q = p^e, e > 1, it is the order of a
+    root a of g in F_{q^d}^* (Lidl & Niederreiter, Thm 3.3), so it is the
+    order of x modulo the minimal polynomial M of a over F_p, found there.
+    M is the product of the conjugates g, sigma(g), ..., sigma^(s-1)(g),
+    where sigma(c) = c^p on the coefficients and s is the least s >= 1 with
+    sigma^s(g) = g: the orbit closes after s | e steps, once sigma^s fixes
+    every coefficient, that is when the coefficients lie in F_{p^s}.
+    sigma^i(g) is the minimal polynomial over F_q of a^(p^i), so each
+    divides M; the s of them are distinct monic irreducibles, so their
+    product P divides M.  P is fixed by sigma, so P lies in F_p[x], and
+    P(a) = 0, so M divides P.  Hence M = P, of degree s*d, and the
+    multiple is p^(s*d) - 1, a divisor of q^d - 1.  The 64-bit ceiling is
+    checked first on the caller's (d, q)."""
     d = len(coeffs) - 1
     _check_ceiling(d, field.q)
+    if field.e > 1:
+        return _order_of_x(FieldCtx(field.p, 1, None),  # F_p; p is checked
+                           _prime_field_minimal_poly(field, coeffs))
     k = _kernel(field, coeffs)
     one = k.one
     return order_from_multiple(factor_integer(field.q ** d - 1),

@@ -183,7 +183,8 @@ def _log_mulmod(F, mod):
     """mulmod(a, b) = a*b mod `mod` over an extension field with log tables
     and, in odd characteristic, an addition table.  The modulus is taken
     monic and negated in the log domain once; each call takes the logs of
-    b once, and every coefficient product is then one lookup in F._exp2."""
+    b once, and every coefficient product is then one lookup in F._exp2.
+    Modulo x^N with N past the degree of a*b it is the plain product."""
     exp2, log_t, add_t, q = F._exp2, F._log, F._add_t, F.q
     d = len(mod) - 1
     # log of -1/lead: -1 = g^((q-1)/2) in odd characteristic, 1 in even

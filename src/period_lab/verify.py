@@ -139,11 +139,13 @@ def _check_minimal_poly_degree5():
 
 
 def _check_oracle_agreement():
-    # every monic polynomial of degree 1..3 over F_2 and F_3
+    # every monic polynomial of degree 1..3 over F_2, F_3 and F_4, and of
+    # degree 1..2 over F_9: the extension fields take the order of each
+    # irreducible factor over the prime field
     mismatches = []
-    for q in (2, 3):
-        field = make_field(q)
-        for k in (1, 2, 3):
+    for q, top in ((2, 3), (3, 3), (4, 3), (9, 2)):
+        field = make_field(*split_prime_power(q))
+        for k in range(1, top + 1):
             for f in monic_polys(field, k):
                 if poly_order(f).order != poly_order_bruteforce(f):
                     mismatches.append(str(f))
@@ -315,7 +317,8 @@ _CHECKS = (
      "the minimal polynomial of that impulse response is x^5+x^4+1",
      _check_minimal_poly_degree5),
     ("pipeline-vs-bruteforce", "orders",
-     "factorization pipeline = brute-force order for all monic f, deg <= 3, F_2/F_3",
+     "factorization pipeline = brute-force order for all monic f, deg <= 3 over F_2/F_3/F_4, "
+     "deg <= 2 over F_9",
      _check_oracle_agreement),
     ("divisor-set-algebra", "period-sets",
      "D(6), 5*D(6), and D(2)*D(6) expand as expected",

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -19,7 +20,7 @@ from period_lab.orders import (
     prime_power_order,
     strip_x_power,
 )
-from period_lab.poly import Poly, is_irreducible, monic_polys, parse_poly
+from period_lab.poly import Poly, factor, is_irreducible, monic_polys, parse_poly, powmod
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -70,6 +71,13 @@ def test_sixty_four_bit_ceiling():
     with pytest.raises(OutOfRange, match="degree 64 over F_2 is past the 64-bit limit"):
         poly_order(big)
     assert poly_order(parse_poly(F2, "x^64+x+1")).order == 4095
+    # over F_4 the limit names the caller's degree and field, not the
+    # degree 64 of the minimal polynomial over F_2 that the order uses
+    F4 = make_field(2, 2)
+    big4 = parse_poly(F4, "x^32+[1,1]*x^30+x^25+x^9+[0,1]*x^2+1")
+    assert is_irreducible(big4)
+    with pytest.raises(OutOfRange, match="degree 32 over F_4 is past the 64-bit limit"):
+        poly_order(big4)
 
 
 def test_caches_are_bounded():
@@ -196,21 +204,80 @@ def test_primitive_polynomial_count(q, ks):
         assert count == euler_phi(q ** k - 1) // k
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4),
-                                 (2, 8), (2, 12)])
-def test_irreducible_order_matches_bruteforce(p, e):
-    """The order of x by the prime split equals the walk, on random
-    irreducibles of every degree d with q^d <= 2^12 over each field the
-    `orders` benchmark workload draws from."""
-    F = make_field(p, e)
-    rng = random.Random(F.q)
-    d = 1
-    while F.q ** d <= 2 ** 12:
-        found = 0
-        while found < 6:
-            g = Poly(F, [rng.randrange(1, F.q)]
-                     + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
-            if is_irreducible(g):
+def subfield_embedding(G, F):
+    """A field map G = F_{p^t} -> F = F_{p^e} for t | e: G's generator goes
+    to the least root in F of G's modulus."""
+    if G.e == 1 or G == F:
+        return lambda c: c
+    w = next(a for a in F.elements() if Poly(F, G.modulus)(a) == 0)
+
+    def embed(c):
+        out = 0
+        for i, ci in enumerate(G.coeffs(c)):
+            out = F.add(out, F.mul(ci, F.pow(w, i)))
+        return out
+    return embed
+
+
+# (p, e, t): irreducibles over the subfield F_{p^t} of F_{p^e}; t = e for
+# the fields the `orders` workload draws from, for F_8, F_25, F_27, F_3125
+# (log tables, no addition table) and F_8192 (no tables, degree 1 only)
+@pytest.mark.parametrize("p,e,t", [(p, e, e) for p, e in (
+    (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (2, 8), (2, 12),
+    (2, 3), (5, 2), (3, 3), (5, 5), (2, 13))] + [(2, 2, 1), (2, 4, 1), (2, 4, 2)])
+def test_irreducible_order_matches_bruteforce(p, e, t):
+    """The order of x, found over F_p on the minimal polynomial of a root,
+    equals the walk over F_q on random irreducibles g of every degree with
+    q^deg(g) <= 2^12 (and degree 1 always).  With t < e the moduli are the
+    factors over F_q of irreducibles h of degree D over F_{p^t}: gcd(D,
+    e/t) conjugates of degree D/gcd(D, e/t) whose coefficients lie in a
+    proper subfield, so the orbit under c -> c^p closes before e steps
+    (F_2[x] over F_4 and F_16 with gcd(D, e) = 1 and > 1, F_4[x] over
+    F_16).  Each factor's order is also the order of h over F_{p^t}, and a
+    degree-1 modulus x + c has the multiplicative order of -c."""
+    F, G = make_field(p, e), make_field(p, t)
+    embed = subfield_embedding(G, F)
+    rng = random.Random(F.q if t == e else F.q * G.q)
+    D = 1
+    while D == 1 or G.q ** D <= 2 ** 12:
+        split = gcd(D, e // t)
+        if D == 1 or F.q ** (D // split) <= 2 ** 12:
+            found = 0
+            while found < 6:
+                h = Poly(G, [rng.randrange(1, G.q)]
+                         + [rng.randrange(G.q) for _ in range(D - 1)] + [1])
+                if not is_irreducible(h):
+                    continue
                 found += 1
-                assert _irreducible_order.__wrapped__(F, g.coeffs) == poly_order_bruteforce(g), g
-        d += 1
+                parts = factor(Poly(F, [embed(c) for c in h.coeffs]))
+                assert [(g.degree, m) for g, m in parts] == [(D // split, 1)] * split, h
+                want = _irreducible_order.__wrapped__(G, h.coeffs)
+                for g, _ in parts:
+                    assert _irreducible_order.__wrapped__(F, g.coeffs) == want, g
+                    assert poly_order_bruteforce(g) == want, g
+                    if g.degree == 1:
+                        assert F.multiplicative_order(F.neg(g.coeffs[0])) == want, g
+        D += 1
+
+
+# (p, e, d) with q^d up to 2^60, past the walk's reach
+@pytest.mark.parametrize("p,e,d", [(2, 2, 30), (3, 2, 18), (2, 4, 15), (2, 8, 7), (2, 12, 5)])
+def test_irreducible_order_jump_ahead(p, e, d):
+    """The order n of x modulo random irreducibles of degree d over F_q,
+    checked by x^n = 1 and x^(n/r) != 1 for each prime r | n, with powmod
+    on the F_q kernel of the modulus, which takes no minimal polynomial
+    over F_p and no power on a prime-field kernel."""
+    F = make_field(p, e)
+    rng = random.Random(F.q ** d)
+    x, one = Poly.x(F), Poly.one(F)
+    found = 0
+    while found < 2:
+        g = Poly(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
+        if not is_irreducible(g):
+            continue
+        found += 1
+        n = _irreducible_order.__wrapped__(F, g.coeffs)
+        assert (F.q ** d - 1) % n == 0
+        assert powmod(x, n, g) == one
+        for r, _ in factor_integer(n):
+            assert powmod(x, n // r, g) != one, (g, r)

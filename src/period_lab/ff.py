@@ -62,9 +62,13 @@ def _clmod(a: int, m: int) -> int:
 
 
 def _square_multiply(mulmod, one, base, n):
-    """base^n for n >= 0 by left-to-right square-and-multiply under mulmod."""
-    out = one
-    for bit in format(n, "b"):
+    """base^n for n >= 0 by left-to-right square-and-multiply under mulmod,
+    starting from base at the leading bit of n; base must be in the reduced
+    form that mulmod returns, since n = 1 returns it as it is."""
+    if not n:
+        return one
+    out = base
+    for bit in format(n, "b")[1:]:
         out = mulmod(out, out)
         if bit == "1":
             out = mulmod(out, base)
@@ -185,20 +189,16 @@ class FieldCtx:
             self.neg = raw_neg
 
         # multiplication via discrete logs when the field is small enough
-        exp_t = None
         if q <= _LOG_TABLE_LIMIT:
-            for g in range(2, q):
-                chain = []
-                cur = 1
-                while True:
-                    chain.append(cur)
-                    cur = raw_mul(cur, g)
-                    if cur == 1:
-                        break
-                if len(chain) == q - 1:
-                    exp_t = chain
-                    break
-        if exp_t is not None:
+            # in characteristic 2 an element's encoding is its bit vector
+            m = sum(c << i for i, c in enumerate(self.modulus))
+            walk_mul = raw_mul if p > 2 else lambda a, b: _clmod(_clmul(a, b), m)
+            # the generator is the least primitive element: g^((q-1)/r) != 1
+            # for every prime r dividing q - 1, found by trial division
+            cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+            g = next(g for g in range(2, q)
+                     if all(_square_multiply(walk_mul, 1, g, k) != 1 for k in cofactors))
+            exp_t = list(itertools.accumulate([g] * (q - 2), walk_mul, initial=1))
             log_t = [0] * q
             for i, v in enumerate(exp_t):
                 log_t[v] = i

@@ -13,13 +13,14 @@ Arithmetic modulo one polynomial runs on a kernel built once per (field,
 modulus) and kept in a small LRU cache, which is_irreducible, the
 distinct- and equal-degree splits and the order of x share.  There are
 three kernels, none of which calls the field's element operations:
-carry-less bit vectors over F_2; over odd p, lazily reduced ints below
-degree 6 (_KRONECKER_MIN_DEGREE) and Kronecker substitution from there on,
-one big-int product per multiplication on coefficients packed into 8 to
-64-bit slots; and exp/log tables for extension fields with q <= 4096.
-Over prime fields the factoring's divisions and gcds make no such call
-either: they run on packed bit vectors over F_2 and lazily reduced ints
-over odd p.  The tuple functions _rmul/_rdivmod/_rgcd serve Poly
+carry-less bit vectors over F_2; over odd p, ints with one coefficient per
+slot of w bits, where a product is one big-int multiplication reduced by
+polynomial Barrett and every slot is taken mod p at once by one magic
+multiplication and shift, with w chosen from (p, degree) so that no slot
+overflows; and exp/log tables for extension fields with q <= 4096.  Over
+prime fields the factoring's divisions and gcds make no such call either:
+they run on packed bit vectors over F_2 and on the same slotted ints over
+odd p.  The tuple functions _rmul/_rdivmod/_rgcd serve Poly
 arithmetic and the remaining fields, and are the tests' oracle.
 
 Text grammar (CLI-facing):
@@ -38,7 +39,6 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from struct import Struct
 
 from .errors import (
     ConstantPolynomial,
@@ -161,24 +161,6 @@ def _unpack2(v: int) -> tuple:
     return tuple(format(v, "b")[::-1].encode().translate(_FROM_BITS)) if v else ()
 
 
-def _lazy_mulmod(a, b, negm, p):
-    """a*b mod x^d - sum(negm[j] x^j), d = len(negm), over F_p: products
-    and reduction steps accumulate as plain ints, and each output
-    coefficient is taken mod p once."""
-    d = len(negm)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i] % p
-        if c:
-            for j, m in enumerate(negm, i - d):
-                out[j] += c * m
-    return _trim([c % p for c in out[:d]])
-
-
 def _log_mulmod(F, mod):
     """mulmod(a, b) = a*b mod `mod` over an extension field with log tables
     and, in odd characteristic, an addition table.  The modulus is taken
@@ -230,88 +212,129 @@ def _log_mulmod(F, mod):
 
 # -- kernels: arithmetic modulo one polynomial, and prime-field divmod/gcd ------
 
-# Odd prime fields multiply by Kronecker substitution from this modulus
-# degree on.  Per product it wins at every degree (over F_3 x1.3 at degree
-# 3, x2.1 at 6, x11 at 37), but below about 8 the fold table and the
-# packing cost more than DDF's few products per modulus save, while the
-# order of x gains from about 5.  On the odd fields of the `orders` mix,
-# crossovers from 4 to 10 timed alike within noise, 6 and 7 best.
-_KRONECKER_MIN_DEGREE = 6
-_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct formats of a slot
-
-
-def _slot_bits(p, d):
-    """Kronecker slot width for products mod a degree-d modulus over F_p:
-    the least of 8/16/32/64 bits above 2*d*(p-1)^2 + p, which bounds every
-    coefficient before its one reduction mod p; None past 64 bits."""
-    bound = 2 * d * (p - 1) ** 2 + p
-    return next((w for w in _SLOT_CODES if bound < 1 << w), None)
-
-
-def _fold_table(negm, p):
-    """[x^(d+i) mod g for 0 <= i < d - 1] as coefficient lists in [0, p),
-    where g is x^d - sum(negm[j] x^j) and d = len(negm)."""
-    rows, row = [], list(negm)
-    for _ in range(len(negm) - 1):
-        rows.append(row)
-        top = row[-1]
-        row = [(c + top * m) % p for c, m in zip([0, *row[:-1]], negm)]
-    return rows
-
-
-def _kronecker(negm, p, w):
-    """(pack, mulmod, unpack) mod x^d - sum(negm[j] x^j) over F_p on ints
-    holding one coefficient in [0, p) per w-bit slot.  A product is one
-    big-int multiplication; its high half folds back through the packed
-    x^(d+i) mod g, after one reduction mod p per high coefficient, and the
-    low d slots are then reduced mod p once each.  Slots are read and
-    written by int.to_bytes/from_bytes and a little-endian Struct."""
-    d, width = len(negm), w // 8
-    full, high = Struct(f"<{d}{_SLOT_CODES[w]}"), Struct(f"<{d - 1}{_SLOT_CODES[w]}")
-    shift, low, pad = w * d, (1 << w * d) - 1, (0,) * d
-
-    def to_int(cs):  # at most d coefficients
-        return int.from_bytes(full.pack(*cs, *pad[len(cs):]), "little")
-
-    table = [to_int(row) for row in _fold_table(negm, p)]
-
-    def mulmod(u, v):
-        prod = u * v
-        acc = prod & low
-        for h, t in zip(high.unpack((prod >> shift).to_bytes(width * (d - 1), "little")), table):
-            h %= p
-            if h:
-                acc += h * t
-        out = full.unpack(acc.to_bytes(width * d, "little"))
-        return int.from_bytes(full.pack(*[c % p for c in out]), "little")
-
-    def pack(a):
-        return to_int(a if len(a) <= d else _lazy_mulmod(a, (1,), negm, p))
-
-    def unpack(u):
-        return _trim(full.unpack(u.to_bytes(width * d, "little")))
-
-    return pack, mulmod, unpack
-
-
 class _Kernel:
     """Arithmetic modulo one polynomial g of degree >= 1 over one field.
     pack(a) turns a coefficient tuple of any length into the kernel's form
     of a mod g, mulmod(u, v) multiplies two forms mod g, unpack(u) gives
-    the trimmed tuple back and one is the form of 1.  bits is the width
-    of a coefficient in a packed-int form (1 over F_2), None for tuples."""
+    the trimmed tuple back and one is the form of 1: an int over prime
+    fields (a bit vector over F_2, _Slots over odd p), a tuple otherwise."""
 
-    __slots__ = ("pack", "mulmod", "unpack", "one", "bits")
+    __slots__ = ("pack", "mulmod", "unpack", "one")
 
-    def __init__(self, pack, mulmod, unpack=tuple, one=(1,), bits=None):
-        self.pack, self.mulmod, self.unpack = pack, mulmod, unpack
-        self.one, self.bits = one, bits
+    def __init__(self, pack, mulmod, unpack=tuple, one=(1,)):
+        self.pack, self.mulmod, self.unpack, self.one = pack, mulmod, unpack, one
 
     def power(self, u, n):
         return _square_multiply(self.mulmod, self.one, u, n)
 
     def powmod(self, a, n):
         return self.unpack(self.power(self.pack(a), n))
+
+
+def _slot_width(p, n):
+    """(w, s, magic) for odd p and slot sums up to top = (2n-1)(p-1)^2, the
+    most that a product mod a degree-n modulus adds into one slot; a
+    division of polynomials of at most n coefficients adds at most n - 1
+    terms c*(p - b_j) <= (p-1)p to a coefficient < p, which for p >= 3
+    stays within top as well.  2^s > top*p makes
+    v*magic >> s with magic = ceil(2^s/p) equal v // p for 0 <= v <= top
+    (Granlund & Montgomery 1994), and w bits hold top*magic, so no slot's
+    product with magic spills into the next."""
+    top = (2 * n - 1) * (p - 1) ** 2
+    s = (top * p).bit_length()
+    magic = -(-(1 << s) // p)
+    return (top * magic).bit_length(), s, magic
+
+
+class _Slots:
+    """Polynomials over F_p, p odd, of at most n coefficients as ints that
+    hold coefficient i in bits [w*i, w*(i+1)).  Products and divisions add
+    into the slots unreduced; no sum crosses a slot (see _slot_width), and
+    reduce takes every slot mod p at once."""
+
+    __slots__ = ("p", "w", "s", "magic", "mask", "pones")
+
+    def __init__(self, p, n):
+        w, s, magic = _slot_width(p, n)
+        ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in each of n slots
+        self.p, self.w, self.s, self.magic = p, w, s, magic
+        self.mask, self.pones = ones * ((1 << w - s) - 1), ones * p
+
+    def pack(self, cs):
+        v, w = 0, self.w
+        for c in reversed(cs):
+            v = v << w | c
+        return v
+
+    def unpack(self, v):
+        """The trimmed coefficient tuple of a reduced int."""
+        out, w, m = [], self.w, (1 << self.w) - 1
+        while v:
+            out.append(v & m)
+            v >>= w
+        return tuple(out)
+
+    def reduce(self, v):
+        return v - self.p * (v * self.magic >> self.s & self.mask)
+
+    def divmod(self, a, b):
+        """(quotient coefficients, leading one first; reduced remainder) of
+        reduced ints a and b != 0.  Each quotient coefficient is read from
+        one slot, and a then takes that coefficient times -b, unreduced."""
+        p, w = self.p, self.w
+        db = (b.bit_length() - 1) // w
+        inv, low, m = pow(b >> w * db, p - 2, p), (1 << w * db) - 1, (1 << w) - 1
+        negb = (self.pones & low) - (b & low)  # p - b_j in each slot j < db
+        quot = []
+        for i in range((a.bit_length() - 1) // w - db, -1, -1):
+            c = (a >> w * (i + db) & m) % p * inv % p
+            quot.append(c)
+            if c:
+                a += c * negb << w * i
+        return quot, self.reduce(a & low)
+
+
+@lru_cache(maxsize=64)
+def _slots_for(p, k):
+    """The _Slots over F_p of at most 2^k coefficients: one per size class,
+    shared by the kernels, divisions and gcds of that size."""
+    return _Slots(p, 1 << k)
+
+
+def _barrett_mu(S, g, d):
+    """floor(x^(2d-2) / g) as an int of S, for the int g of S holding a
+    monic modulus of degree d."""
+    return S.pack(S.divmod(1 << S.w * (2 * d - 2), g)[0][::-1])
+
+
+def _slot_kernel(F, mod):
+    """Arithmetic mod `mod` (degree d >= 1) over F_p, p odd, on _Slots ints.
+    A product is one big-int multiplication t = u*v, reduced by polynomial
+    Barrett: with mu = floor(x^(2d-2)/g), g the monic modulus, the quotient
+    of t by g is Q = floor(floor(t/x^d) * mu / x^(d-2)), and t mod g is the
+    low d slots of t + Q*(-g mod p).  Each of the three steps ends in one
+    slot-parallel reduction mod p."""
+    p, d = F.p, len(mod) - 1
+    c = pow(mod[-1], p - 2, p)  # g = c*mod leaves the same remainders
+    S = _slots_for(p, (d - 1).bit_length())  # it also holds x^(2d-2) / g
+    negm = S.pack([-c * m % p for m in mod[:-1]])
+    mu = _barrett_mu(S, S.pack([c * m % p for m in mod]), d)
+    w, s, magic, mask = S.w, S.s, S.magic, S.mask
+    hi, mid, low = w * d, w * max(d - 2, 0), (1 << w * d) - 1
+
+    def mulmod(u, v):
+        t = u * v
+        h = t >> hi
+        h -= p * (h * magic >> s & mask)
+        q = h * mu >> mid
+        q -= p * (q * magic >> s & mask)
+        t = t + q * negm & low
+        return t - p * (t * magic >> s & mask)
+
+    def pack(a):
+        return S.pack(a if len(a) <= d else _kdivmod(F, a, mod)[1])
+
+    return _Kernel(pack, mulmod, S.unpack, 1)
 
 
 @lru_cache(maxsize=16)
@@ -328,28 +351,15 @@ def _kernel(F, mod):
     if F.p == 2:
         m = _pack2(mod)
         return _Kernel(lambda a: _clmod(_pack2(a), m),
-                       lambda u, v: _clmod(_clmul(u, v), m), _unpack2, 1, 1)
-    p = F.p
-    c = pow(mod[-1], p - 2, p)  # the remainder mod c*mod is the same
-    negm = [-c * m % p for m in mod[:-1]]
-    w = _slot_bits(p, len(negm)) if len(negm) >= _KRONECKER_MIN_DEGREE else None
-    if w is not None:
-        return _Kernel(*_kronecker(negm, p, w), 1, w)
-
-    def mulmod(a, b):
-        return _lazy_mulmod(a, b, negm, p)
-    return _Kernel(lambda a: mulmod(a, (1,)), mulmod)
+                       lambda u, v: _clmod(_clmul(u, v), m), _unpack2, 1)
+    return _slot_kernel(F, mod)
 
 
 def _rpowmod(F, base, n, mod):
-    """base^n mod `mod` on the cached kernel of (F, mod).  There are three
-    kernels, none of which calls the field's element operations: over F_2
-    carry-less bit vectors; over odd p lazily reduced ints below degree
-    _KRONECKER_MIN_DEGREE (6) and Kronecker-packed ints from there on (8,
-    16, 32 or 64-bit slots; lazy ints again past 64); over extension fields
-    with log tables (q <= 4096; in odd characteristic also an addition
-    table, q <= 256) table lookups.  The remaining extension fields
-    multiply and reduce coefficient tuples through F.mul/F.add."""
+    """base^n mod `mod` on the cached kernel of (F, mod): bit vectors over
+    F_2, _Slots ints over odd p (_slot_kernel), log and addition tables over
+    the extension fields that have them, and for the rest coefficient
+    tuples through F.mul/F.add, the only kernel that calls them."""
     if not mod:
         raise ZeroDivisionError("polynomial modulus is zero")
     if len(mod) == 1:
@@ -368,26 +378,9 @@ def _cldivmod(a: int, b: int):
     return quot, a
 
 
-def _lazy_divmod(a, b, p):
-    """divmod over F_p on lazily reduced ints: one inverse of b's leading
-    coefficient per call, and each coefficient taken mod p when it leads
-    and at the end."""
-    db = len(b) - 1
-    inv, low = pow(b[-1], p - 2, p), b[:-1]
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] * inv % p
-        if c:
-            quot[i] = c
-            for j, y in enumerate(low, i):
-                rem[j] -= c * y
-    return _trim(quot), _trim([r % p for r in rem[:db]])
-
-
 def _kdivmod(F, a, b):
     """_rdivmod with no field callbacks over prime fields: packed bit
-    vectors over F_2, lazily reduced ints over odd p."""
+    vectors over F_2, _Slots ints over odd p."""
     if F.e > 1:
         return _rdivmod(F, a, b)
     if not b:
@@ -395,7 +388,9 @@ def _kdivmod(F, a, b):
     if F.p == 2:
         quot, rem = _cldivmod(_pack2(a), _pack2(b))
         return _unpack2(quot), _unpack2(rem)
-    return _lazy_divmod(a, b, F.p)
+    S = _slots_for(F.p, (max(len(a), len(b)) - 1).bit_length())
+    quot, rem = S.divmod(S.pack(a), S.pack(b))
+    return tuple(quot[::-1]), S.unpack(rem)
 
 
 def _kgcd(F, a, b):
@@ -407,9 +402,11 @@ def _kgcd(F, a, b):
         while b:
             a, b = b, _clmod(a, b)
         return _unpack2(a)
+    S = _slots_for(F.p, (max(len(a), len(b)) - 1).bit_length())
+    a, b = S.pack(a), S.pack(b)
     while b:
-        a, b = b, _lazy_divmod(a, b, F.p)[1]
-    return _rmonic(F, a)
+        a, b = b, S.divmod(a, b)[1]
+    return _rmonic(F, S.unpack(a))
 
 
 def _rderiv(F, a):

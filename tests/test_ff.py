@@ -165,6 +165,32 @@ def test_extension_matches_coordinate_oracle():
             assert list(F.coeffs(F.mul(a, b))) == expect_mul
 
 
+@pytest.mark.parametrize("p,e", [(2, 8), (2, 12), (3, 7), (5, 5)])
+def test_exp_tables_match_reference_walk(p, e):
+    """The exp/log tables of F_256, F_4096, F_2187 and F_3125 against a walk
+    on coordinate lists: the generator is the least element whose powers
+    reach every unit, and _exp2 is its q - 1 powers twice over."""
+    F = make_field(p, e)
+    q = F.q
+
+    def times(a, b):
+        da, db = F.coeffs(a), F.coeffs(b)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        return F.from_coeffs(reduce_mod_modulus(p, F.modulus, prod))
+
+    for g in range(2, q):
+        walk = [1]
+        while len(walk) < q and (walk == [1] or walk[-1] != 1):
+            walk.append(times(walk[-1], g))
+        if len(walk) == q and walk[-1] == 1:
+            break
+    assert F._exp2 == walk[:-1] * 2
+    assert all(F._log[v] == i for i, v in enumerate(walk[:-1]))
+
+
 def test_large_odd_field_keeps_no_element_tables():
     # past the add-table limit no per-element table is kept: F_3^10 has
     # 59,049 elements, and a table of their negatives alone held 2.27 MB

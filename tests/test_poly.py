@@ -10,10 +10,9 @@ from period_lab.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from period_lab.ff import make_field
+from period_lab.ff import _square_multiply, make_field
 from period_lab.orders import _irreducible_order, poly_order
 from period_lab.poly import (
-    _KRONECKER_MIN_DEGREE,
     Factorization,
     Poly,
     factor,
@@ -29,7 +28,8 @@ from period_lab.poly import (
     _rgcd,
     _rmul,
     _rpowmod,
-    _slot_bits,
+    _slot_width,
+    _Slots,
     _trim,
     powmod,
     xgcd,
@@ -233,15 +233,12 @@ def test_prime_field_powmod_makes_no_field_callbacks():
             assert not is_irreducible(fr)
 
 
-# (p, degrees) for the kernel checks: both sides of the Kronecker crossover
-# (degree 6) and of each slot-width step.  F_3 and F_5 go from 8 to 16-bit
-# slots at degree 32 and 8, F_73 from 16 to 32 bits at 7 and F_17519 from
-# 32 to 64 bits at 7; F_1048573 is on 64-bit slots at every degree.
-KERNEL_GRID = [(2, (1, 5, 6, 40, 63)), (3, (5, 6, 31, 32, 37)), (5, (5, 6, 7, 8, 25)),
-               (7, (5, 6, 21)), (13, (5, 6, 17)), (73, (6, 7)), (17519, (6, 7)),
-               (1048573, (5, 6, 70))]
-SLOT_STEPS = {(3, 31): 8, (3, 32): 16, (5, 7): 8, (5, 8): 16, (73, 6): 16, (73, 7): 32,
-              (17519, 6): 32, (17519, 7): 64, (1048573, 6): 64, (1048573, 70): 64}
+# (p, degrees) for the kernel checks: F_2's bit vectors, and the slot
+# kernel over odd p from degree 1 (where Barrett's mu is 0) through 70, with
+# slot widths from 5 bits (F_3, degree 1) to 96 (F_1048573, degree 70).
+ODD_DEGREES = (1, 2, 3, 5, 6, 7, 20, 37, 70)
+KERNEL_GRID = [(2, (1, 5, 6, 40, 63))] + [
+    (p, ODD_DEGREES) for p in (3, 5, 7, 13, 251, 65521, 1048573)]
 
 
 def check_kernels(p, degrees):
@@ -249,7 +246,8 @@ def check_kernels(p, degrees):
     non-monic modulus of each degree: powers of zero, x, short, full and
     long bases; products of the all-(p-1) element, which has the largest
     slot sums, and of random elements; divmod and gcd of random pairs and
-    of pairs with a common factor."""
+    of pairs with a common factor.  Over odd p also the slot-parallel
+    reduction of the largest slot sum, of p and of its neighbours."""
     F, rng = make_field(p), random.Random(p)
 
     def rand(length, lead=True):
@@ -273,6 +271,11 @@ def check_kernels(p, degrees):
                      (_rmul(F, rand(d), common), _rmul(F, rand(d - 1), common))):
             assert _kdivmod(F, a, b) == _rdivmod(F, a, b), (p, d, a, b)
             assert _kgcd(F, a, b) == _rgcd(F, a, b), (p, d, a, b)
+        if p > 2:
+            S, most = _Slots(p, d), (2 * d - 1) * (p - 1) ** 2
+            sums = [most, p, most - 1, 2 * p, p - 1, 0, 1, p + 1] * d
+            got = S.unpack(S.reduce(S.pack(sums[:d])))
+            assert got == _trim([v % p for v in sums[:d]]), (p, d)
 
 
 @pytest.mark.parametrize("p,degrees", KERNEL_GRID, ids=[f"F{p}" for p, _ in KERNEL_GRID])
@@ -280,50 +283,71 @@ def test_kernels_match_tuple_oracle(p, degrees):
     check_kernels(p, degrees)
 
 
-def test_kernel_slot_widths():
-    for (p, d), bits in SLOT_STEPS.items():
-        assert _slot_bits(p, d) == bits, (p, d)
-        if d >= _KRONECKER_MIN_DEGREE:
-            assert _kernel(make_field(p), (1,) * d + (1,)).bits == bits, (p, d)
-    for p in (3, 1048573):  # below the crossover: lazily reduced tuples
-        assert _kernel(make_field(p), (1, 2, 1, 1, 0, 1)).bits is None
-    assert _kernel(F2, (1, 1, 0, 1)).bits == 1
-    # the chooser answers from (p, d) alone, so a degree past 64-bit slots is
-    # refused before any input of that size exists
-    assert _slot_bits(1048573, 1 << 24) is None
+def test_slot_width_covers_the_largest_slot_sum():
+    """w holds the largest slot sum times magic, and v*magic >> s is v // p
+    up to that sum.  Over F_1048573 slots are wider than 64 bits, and the
+    slot kernel matches the oracle there up to degree 200."""
+    for p in (3, 5, 7, 13, 251, 65521, 1048573):
+        for d in (*ODD_DEGREES, 1000):
+            w, s, magic = _slot_width(p, d)
+            most = (2 * d - 1) * (p - 1) ** 2
+            assert most * magic < 1 << w and magic * p >= 1 << s > most * p, (p, d)
+            near = {k * p + r for k in (0, 1, 2, most // p) for r in (-1, 0, 1)}
+            for v in near.union(range(99), range(most - 99, most + 1)):
+                if 0 <= v <= most:
+                    assert v * magic >> s == v // p, (p, d, v)
+    assert _slot_width(1048573, 70)[0] > 64
+    check_kernels(1048573, (200,))
 
 
-def test_kernel_falls_back_past_64_bit_slots(monkeypatch):
-    """Where the chooser gives no slot width, the kernel multiplies on
-    _lazy_mulmod and still matches the oracle."""
-    monkeypatch.setattr(poly, "_slot_bits", lambda p, d: None)
-    _kernel.cache_clear()
-    try:
-        assert _kernel(make_field(1048573), (3,) * 70 + (1,)).bits is None
-        check_kernels(1048573, (6, 70))
-    finally:
-        _kernel.cache_clear()
+def test_powers_start_from_the_base():
+    """_square_multiply makes no product for n = 0 and 1 and one square for
+    n = 2, and every kernel gives base^0 = 1, base^1 = base, base^2."""
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        assert _square_multiply(mul, 1, 3, n) == 3 ** n and len(calls) == products
+    # F_2 bit vectors, odd-p slots, log tables (char 2 and 3), tuples (F_729)
+    for F in (F2, F3, F4, make_field(3, 2), make_field(3, 6)):
+        rng = random.Random(F.q)
+        mod = _trim([rng.randrange(F.q) for _ in range(5)] + [1])
+        k, base = _kernel(F, mod), _trim([rng.randrange(F.q) for _ in range(5)])
+        for n in (0, 1, 2):
+            assert k.powmod(base, n) == reference_powmod(F, base, n, mod), (F, n)
+    F8192 = make_field(2, 13)  # coordinate arithmetic: FieldCtx.pow on raw_mul
+    assert [F8192.pow(5, n) for n in (0, 1, 2)] == [1, 5, F8192.mul(5, 5)]
 
 
-@pytest.mark.parametrize("mutant", ["fold off by one", "slots one size too narrow"])
+@pytest.mark.parametrize("mutant", ["mu one degree short", "slots one bit too narrow",
+                                    "magic minus one"])
 def test_kernel_check_catches_mutants(monkeypatch, mutant):
-    """check_kernels fails on a Kronecker kernel that folds the coefficient
-    of x^(d+i) in as x^(d+i-1), and on one with slots a size too narrow
-    (a wrong answer, or a slot sum that overflows its unpacking)."""
-    fold, bits = poly._fold_table, poly._slot_bits
-    if mutant == "fold off by one":
-        monkeypatch.setattr(poly, "_fold_table", lambda negm, p: (
-            [[0] * (len(negm) - 1) + [1]] + fold(negm, p)[:-1]))
+    """check_kernels fails on a slot kernel whose Barrett constant is
+    floor(x^(2d-3)/g), whose slots are one bit narrower than the largest
+    slot sum needs, or whose magic constant is ceil(2^s/p) - 1."""
+    width = poly._slot_width
+    if mutant == "mu one degree short":
+        monkeypatch.setattr(poly, "_barrett_mu", lambda S, g, d: (
+            S.pack(S.divmod(1 << S.w * max(2 * d - 3, 0), g)[0][::-1])))
+    elif mutant == "slots one bit too narrow":
+        monkeypatch.setattr(poly, "_slot_width", lambda p, n: (
+            (lambda w, s, magic: (w - 1, s, magic))(*width(p, n))))
     else:
-        narrower = {16: 8, 32: 16, 64: 32}
-        monkeypatch.setattr(poly, "_slot_bits", lambda p, d: narrower.get(bits(p, d), bits(p, d)))
+        monkeypatch.setattr(poly, "_slot_width", lambda p, n: (
+            (lambda w, s, magic: (w, s, magic - 1))(*width(p, n))))
     _kernel.cache_clear()
+    poly._slots_for.cache_clear()
     try:
-        with pytest.raises((AssertionError, OverflowError)):
-            for p, degrees in KERNEL_GRID:
+        with pytest.raises(AssertionError):
+            for p, degrees in KERNEL_GRID[1:]:
                 check_kernels(p, degrees)
     finally:
         _kernel.cache_clear()
+        poly._slots_for.cache_clear()
 
 
 def test_one_kernel_per_modulus():

@@ -42,7 +42,6 @@ from .period_sets import (
     set_union,
 )
 from .poly import (
-    DEFAULT_SEED,
     Factorization,
     Poly,
     factor,
@@ -92,7 +91,6 @@ __all__ = [
     "split_prime_power", "INT64_MAX",
     "Poly", "Factorization", "factor", "gcd", "xgcd", "powmod",
     "is_irreducible", "monic_polys", "parse_poly", "format_poly",
-    "DEFAULT_SEED",
     "OrderResult", "FactorContribution", "poly_order",
     "poly_order_bruteforce", "irreducible_order", "prime_power_order",
     "strip_x_power",

@@ -61,6 +61,23 @@ def _clmod(a: int, m: int) -> int:
     return a
 
 
+# -- the element encoding: base-p digits, least significant first --
+
+def _to_digits(a: int, p: int, e: int) -> list[int]:
+    digits = []
+    for _ in range(e):
+        a, r = divmod(a, p)
+        digits.append(r)
+    return digits
+
+
+def _from_digits(digits, p: int) -> int:
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
+
+
 def _square_multiply(mulmod, one, base, n):
     """base^n for n >= 0 by left-to-right square-and-multiply under mulmod,
     starting from base at the leading bit of n; base must be in the reduced
@@ -133,30 +150,15 @@ class FieldCtx:
         # x^e == sum(red[i] x^i) modulo the (monic) defining polynomial
         red = tuple(-c % p for c in self.modulus[:e])
 
-        def decode(a):
-            digits = []
-            for _ in range(e):
-                a, r = divmod(a, p)
-                digits.append(r)
-            return digits
-
-        def encode(digits):
-            out = 0
-            for d in reversed(digits):
-                out = out * p + d
-            return out
-
         def raw_add(a, b):
-            return encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
-
-        def raw_sub(a, b):
-            return encode([(x - y) % p for x, y in zip(decode(a), decode(b))])
+            da, db = _to_digits(a, p, e), _to_digits(b, p, e)
+            return _from_digits([(x + y) % p for x, y in zip(da, db)], p)
 
         def raw_neg(a):
-            return encode([-x % p for x in decode(a)])
+            return _from_digits([-x % p for x in _to_digits(a, p, e)], p)
 
         def raw_mul(a, b):
-            da, db = decode(a), decode(b)
+            da, db = _to_digits(a, p, e), _to_digits(b, p, e)
             prod = [0] * (2 * e - 1)
             for i, x in enumerate(da):
                 if x:
@@ -170,23 +172,7 @@ class FieldCtx:
                     for j, r in enumerate(red):
                         if r:
                             prod[i - e + j] = (prod[i - e + j] + c * r) % p
-            return encode(prod[:e])
-
-        # addition
-        if p == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = self.add
-            self.neg = lambda a: a
-        elif q <= _ADD_TABLE_LIMIT:
-            neg_t = [raw_neg(a) for a in range(q)]
-            add_t = self._add_t = [raw_add(a, b) for a in range(q) for b in range(q)]
-            self.add = lambda a, b: add_t[a * q + b]
-            self.sub = lambda a, b: add_t[a * q + neg_t[b]]
-            self.neg = lambda a: neg_t[a]
-        else:
-            self.add = raw_add
-            self.sub = raw_sub
-            self.neg = raw_neg
+            return _from_digits(prod[:e], p)
 
         # multiplication via discrete logs when the field is small enough
         if q <= _LOG_TABLE_LIMIT:
@@ -194,8 +180,8 @@ class FieldCtx:
             m = sum(c << i for i, c in enumerate(self.modulus))
             walk_mul = raw_mul if p > 2 else lambda a, b: _clmod(_clmul(a, b), m)
             # the generator is the least primitive element: g^((q-1)/r) != 1
-            # for every prime r dividing q - 1, found by trial division
-            cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+            # for every prime r dividing q - 1
+            cofactors = [(q - 1) // r for r, _ in factor_integer(q - 1)]
             g = next(g for g in range(2, q)
                      if all(_square_multiply(walk_mul, 1, g, k) != 1 for k in cofactors))
             exp_t = list(itertools.accumulate([g] * (q - 2), walk_mul, initial=1))
@@ -207,8 +193,33 @@ class FieldCtx:
             self.mul = lambda a, b: exp2[log_t[a] + log_t[b]] if a and b else 0
             self._install_powers(lambda a, n: exp_t[log_t[a] * n % (q - 1)])
         else:
+            log_t = None
             self.mul = raw_mul
             self._install_powers(lambda a, n: _square_multiply(raw_mul, 1, a, n))
+
+        # addition
+        if p == 2:
+            self.add = lambda a, b: a ^ b
+            self.sub = self.add
+            self.neg = lambda a: a
+        elif q <= _ADD_TABLE_LIMIT:
+            # row a holds a + b for every b, built a digit at a time: with
+            # a = a0 + p*a1 and b = b0 + p*b1, a + b = (a0 + b0) % p + p*(a1 + b1)
+            low = rows = [[(x + y) % p for y in range(p)] for x in range(p)]
+            for _ in range(e - 1):
+                rows = [[p * h + s for h in hi for s in lo] for hi in rows for lo in low]
+            add_t = self._add_t = [s for row in rows for s in row]
+            neg_t = [row.index(0) for row in rows]
+            self.add = lambda a, b: add_t[a * q + b]
+            self.sub = lambda a, b: add_t[a * q + neg_t[b]]
+            self.neg = lambda a: neg_t[a]
+        else:
+            # with log tables, -a = a * g^((q-1)/2) is one lookup
+            neg = raw_neg if log_t is None else (
+                lambda a: exp2[log_t[a] + (q - 1) // 2] if a else 0)
+            self.add = raw_add
+            self.sub = lambda a, b: raw_add(a, neg(b))
+            self.neg = neg
 
     # -- element plumbing -----------------------------------------------------
 
@@ -233,18 +244,11 @@ class FieldCtx:
         coords = list(coords)
         if len(coords) > self.e:
             raise DegreeMismatch(f"{len(coords)} coordinates for {self.spec()}")
-        out = 0
-        for c in reversed(coords):
-            out = out * self.p + c % self.p
-        return out
+        return _from_digits([c % self.p for c in coords], self.p)
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Power-basis coordinates of an element, little-endian, length e."""
-        digits = []
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            digits.append(r)
-        return tuple(digits)
+        return tuple(_to_digits(a, self.p, self.e))
 
     def elements(self) -> range:
         return range(self.q)
@@ -352,13 +356,11 @@ def make_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
         return FieldCtx(p, 1, None)
     if modulus is None:
         return FieldCtx(p, e, _default_modulus(p, e))
-    coeffs = tuple(int(c) % p for c in getattr(modulus, "coeffs", modulus))
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+    from .poly import Poly, _trim, is_irreducible
+
+    coeffs = _trim([int(c) % p for c in getattr(modulus, "coeffs", modulus)])
     if len(coeffs) != e + 1 or coeffs[-1] != 1:
         raise DegreeMismatch(f"modulus must be monic of degree {e}")
-    from .poly import Poly, is_irreducible
-
     if not is_irreducible(Poly(make_field(p), coeffs)):
         raise ReducibleModulus("supplied modulus is reducible over the prime field")
     return FieldCtx(p, e, coeffs)

@@ -13,6 +13,8 @@ Thm 3.3), so it is the same number over every field that holds the
 coefficients of a's minimal polynomial.  _order_of_x therefore computes
 it over F_p, on the minimal polynomial of a over F_p (the product of the
 conjugates of g under c -> c^p), where the packed prime-field kernels run.
+Every product here runs on a kernel of poly._kernel; this module reads no
+field tables.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .ff import FieldCtx
 from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
-from .poly import Poly, _kernel, _log_mulmod, _mk, _rmonic, _rmul, factor, is_irreducible
+from .poly import Poly, _kernel, _mk, _rmonic, factor, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -66,26 +68,15 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
     """The minimal polynomial over F_p of a root of the monic irreducible
     `coeffs` over field = F_{p^e}: the product of its distinct conjugates
     under c -> c^p (see _order_of_x), with coefficients in F_p, whose
-    elements encode as their residues.  Table fields apply sigma and multiply on the exp/log (and addition)
-    tables, through _log_mulmod modulo x^N with N past the product's
-    degree, which never reduces; the other fields use F.pow and _rmul."""
-    p, q, log_t = field.p, field.q, field._log
-    if log_t is not None:
-        exp2 = field._exp2
-
-        def frob(c):
-            return exp2[log_t[c] * p % (q - 1)] if c else 0
-    else:
-        def frob(c):
-            return field.pow(c, p)
-    if log_t is not None and (p == 2 or field._add_t is not None):
-        mul = _log_mulmod(field, (0,) * (field.e * (len(coeffs) - 1) + 1) + (1,))
-    else:
-        def mul(a, b):
-            return _rmul(field, a, b)
+    elements encode as their residues.  sigma is F.pow, and the products
+    run on the field's kernel modulo x^N, N = e*d + 1: no partial product
+    reaches degree N, so none is reduced, and the kernel is cached per
+    (field, d)."""
+    p, powf = field.p, field.pow
+    mul = _kernel(field, (0,) * (field.e * (len(coeffs) - 1) + 1) + (1,)).mulmod
     out = conj = coeffs
     while True:
-        conj = tuple(frob(c) for c in conj)
+        conj = tuple(powf(c, p) for c in conj)
         if conj == coeffs:
             return out
         out = mul(out, conj)

@@ -119,6 +119,16 @@ def set_union(*sets) -> PeriodSet:
     return PeriodSet.of(out)
 
 
+def _divisor_union(q: int, parts) -> PeriodSet:
+    """The union of a * D(q^i - 1) over the (i, (a, ...)) of parts."""
+    vals = set()
+    for i, scales in parts:
+        divs = _divisors(q ** i - 1)
+        for a in scales:
+            vals.update(map(a.__mul__, divs))
+    return PeriodSet.of(vals)
+
+
 def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     """The union over 1 <= i <= k of {p^j : j <= t_i} * D(q^i - 1), with
     t_i the least t such that p^t >= floor(k/i).
@@ -130,12 +140,8 @@ def period_set_lower_bound(k: int, q: int) -> PeriodSet:
         raise OutOfRange("degree must be >= 1")
     _check_ceiling(k, q)
     p, _ = split_prime_power(q)
-    parts = []
-    for i in range(1, k + 1):
-        t, _ = _char_boost(p, k // i)
-        powers = PeriodSet(tuple(p ** j for j in range(t + 1)))
-        parts.append(set_product(powers, divisors(q ** i - 1)))
-    return set_union(*parts)
+    return _divisor_union(q, [(i, [p ** j for j in range(_char_boost(p, k // i)[0] + 1)])
+                              for i in range(1, k + 1)])
 
 
 def period_set_closed_form(k: int, q: int) -> PeriodSet:
@@ -147,21 +153,16 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
     """
     if not 1 <= k <= 4:
         raise DegreeOutOfRange(
-            f"no closed form for degree {k}; use the bound or brute force"
+            f"no closed form for degree {k}; use the exact route "
+            f"(period_set_exact, --method exact)"
         )
     _check_ceiling(k, q)
     p, _ = split_prime_power(q)
-    # the union of a * D(q^i - 1) over these (i, (a, ...))
-    parts = {1: [(1, (1,))],
-             2: [(2, (1,)), (1, (p,))],
-             3: [(3, (1,)), (2, (1,)), (1, (2, 4) if p == 2 else (p,))],
-             4: [(4, (1,)), (3, (1,)), (2, (p,))] + ([(1, (p * p,))] if p in (2, 3) else [])}[k]
-    vals = set()
-    for i, scales in parts:
-        divs = _divisors(q ** i - 1)
-        for a in scales:
-            vals.update(map(a.__mul__, divs))
-    return PeriodSet.of(vals)
+    return _divisor_union(q, {
+        1: [(1, (1,))],
+        2: [(2, (1,)), (1, (p,))],
+        3: [(3, (1,)), (2, (1,)), (1, (2, 4) if p == 2 else (p,))],
+        4: [(4, (1,)), (3, (1,)), (2, (p,))] + ([(1, (p * p,))] if p in (2, 3) else [])}[k])
 
 
 def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:

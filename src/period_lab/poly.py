@@ -6,8 +6,8 @@ polynomial has an empty coefficient tuple and degree -1.
 
 Factorization runs squarefree decomposition (with p-th root extraction
 when the derivative vanishes), then distinct-degree splitting, then
-randomized equal-degree splitting driven by a caller-visible seed, so
-results are deterministic and canonically ordered.
+randomized equal-degree splitting driven by a fixed seed, so results are
+deterministic and canonically ordered.
 
 Arithmetic modulo one polynomial runs on a kernel built once per (field,
 modulus) and kept in a small LRU cache, which is_irreducible, the
@@ -50,7 +50,7 @@ from .errors import (
 from .ff import FieldCtx, _clmod, _clmul, _square_multiply
 from .intfactor import factor_integer
 
-DEFAULT_SEED = 1
+_EDF_SEED = 1  # the equal-degree split's random source; factor sorts its output
 
 
 # -- raw coefficient-tuple arithmetic (hot paths) -----------------------------
@@ -728,7 +728,7 @@ def _equal_degree_split(F, f, d, rng):
             return _equal_degree_split(F, g, d, rng) + _equal_degree_split(F, rest, d, rng)
 
 
-def factor(f: Poly, seed: int = DEFAULT_SEED) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities."""
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -737,7 +737,7 @@ def factor(f: Poly, seed: int = DEFAULT_SEED) -> Factorization:
     w = _rmonic(F, f.coeffs)
     if len(w) == 1:
         return Factorization(unit, ())
-    rng = random.Random(seed)
+    rng = random.Random(_EDF_SEED)
     counts: dict[tuple, int] = {}
     for part, mult in _squarefree_parts(F, w):
         for prod, d in _distinct_degree_parts(F, part):

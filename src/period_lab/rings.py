@@ -367,11 +367,14 @@ def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
 
 
 def sample_recurrence(ga: GroupAlgebra, k: int, seed: int = 0) -> tuple:
-    """A reproducible pseudorandom unit-c_0 recurrence over the algebra."""
+    """A reproducible pseudorandom unit-c_0 recurrence over the algebra;
+    c_0 is drawn uniformly from the units by rejection."""
     rng = random.Random(seed)
-    units = list(ga.units())
-    c0 = units[rng.randrange(len(units))]
-    rest = tuple(
-        tuple(rng.randrange(ga.p) for _ in range(ga.n)) for _ in range(k - 1)
-    )
-    return (c0, *rest)
+
+    def draw():
+        return tuple(rng.randrange(ga.p) for _ in range(ga.n))
+
+    c0 = draw()
+    while not ga.is_unit(c0):
+        c0 = draw()
+    return (c0, *(draw() for _ in range(k - 1)))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from period_lab import cli, rings, sequences
+from period_lab import cli, rings, sequences, verify
 from period_lab.cli import main
 from period_lab.errors import default_budget
 from period_lab.ff import parse_field_spec
@@ -306,6 +306,15 @@ def test_verify_scopes(capsys):
     assert all(c["pass"] for c in payload["checks"])
     names = [c["name"] for c in payload["checks"]]
     assert len(names) == len(set(names))
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS", (
+        ("always-wrong", "rings", "1 equals 2", lambda: (1, 2)),))
+    code, out, _ = run_cli(capsys, "verify", "--scope", "rings")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL always-wrong (")
+    assert out.splitlines()[1:] == ["     expected 1", "     computed 2", "0/1 checks passed"]
 
 
 def test_verify_json_deterministic(capsys):

@@ -51,6 +51,7 @@ CASES = (
     " --terms 3 --period --budget 1000",
     "minpoly --field 2 --terms 0,1,1,0,1,1,0,1 --bound 2",
     "minpoly --field 2 --terms 0,1,1 --bound 2",
+    "minpoly --field 2 --terms 0,1,1 --bound -1",
     "period-set --field 2 --degree 4",
     "period-set --field 3 --degree 3 --method bound",
     "period-set --field 2 --degree 4 --method bruteforce",
@@ -60,10 +61,13 @@ CASES = (
     "period-set --field 2^16 --degree 4",
     "period-set --field 2 --degree 25 --method bruteforce",
     "period-set --field 2^2 --degree 3 --method bruteforce",
+    "period-set --field 2 --degree 0",
     "ring period-set --components 2,3,5 --degree 2",
     "ring period-set --components 2^2,3 --degree 3",
     "ring period-set --components 2,5 --degree 5",
     "ring period-set --components 2,5 --degree 9",
+    "ring period-set --components 2,3 --degree 0",
+    'ring period-set --components "" --degree 2',
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method lcm",
     # not a method: the walk is `both`'s cross-check, so argparse exits 2
     "ring period --components 2,5 --rec 1,1 --init 0|0,1|1 --method simulate",
@@ -76,6 +80,7 @@ CASES = (
     "algebra --p 2 --n 4 --max-period",
     "algebra --p 3 --n 4 --max-period --degree 2",
     "algebra --p 2 --n 1",
+    "algebra --p 2 --n 3 --degree 0 --max-period",
     "verify --scope rings",
     "verify",
 )

@@ -146,8 +146,10 @@ def test_extension_arithmetic_f4():
 def test_extension_matches_coordinate_oracle():
     rng = random.Random(7)
     # F_2^13 and F_3^8 are past the log-table limit: coordinate arithmetic;
-    # F_3^6 and F_5^4 are past the add-table limit only
-    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3), (2, 13), (3, 6), (3, 8), (5, 4)):
+    # F_3^6 and F_5^4 are past the add-table limit only; F_3^3 to F_3^5
+    # build their addition tables a digit at a time
+    for p, e in ((2, 3), (3, 2), (5, 2), (7, 3), (2, 13), (3, 6), (3, 8), (5, 4),
+                 (3, 3), (3, 4), (3, 5)):
         F = make_field(p, e)
         for _ in range(200):
             a, b = rng.randrange(F.q), rng.randrange(F.q)

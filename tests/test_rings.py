@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -343,6 +344,32 @@ def test_group_algebra_crt_period_consistency():
     coeffs = sample_recurrence(ga, 1, seed=3)
     s0 = ((1, 0, 1, 1, 0),)
     assert group_algebra_period(ga, coeffs, s0) == crt_period(ga, coeffs, s0)
+
+
+def test_sample_recurrence_draws_units_without_listing_them(monkeypatch):
+    ga = make_group_algebra(2, 20)
+
+    def no_listing(self):
+        raise AssertionError("units() lists p^n elements")
+
+    monkeypatch.setattr(type(ga), "units", no_listing)
+    for seed in range(5):
+        coeffs = sample_recurrence(ga, 3, seed=seed)
+        assert len(coeffs) == 3 and all(len(c) == 20 for c in coeffs)
+        assert ga.is_unit(coeffs[0])
+        assert sample_recurrence(ga, 3, seed=seed) == coeffs
+
+
+@pytest.mark.parametrize("make, same, other", [
+    (make_product_ring, [2, "2^2", 5], [2, 5]),
+    (lambda args: make_group_algebra(*args), (2, 6), (3, 6)),
+])
+def test_ring_contexts_compare_hash_and_pickle(make, same, other):
+    a, b, c = make(same), make(same), make(other)
+    assert a == b and hash(a) == hash(b) and a != c
+    assert a.__eq__("not a ring") is NotImplemented
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
 
 
 def test_group_algebra_sequences_run_directly():

@@ -193,7 +193,6 @@ class FieldCtx:
             self.mul = lambda a, b: exp2[log_t[a] + log_t[b]] if a and b else 0
             self._install_powers(lambda a, n: exp_t[log_t[a] * n % (q - 1)])
         else:
-            log_t = None
             self.mul = raw_mul
             self._install_powers(lambda a, n: _square_multiply(raw_mul, 1, a, n))
 
@@ -214,12 +213,9 @@ class FieldCtx:
             self.sub = lambda a, b: add_t[a * q + neg_t[b]]
             self.neg = lambda a: neg_t[a]
         else:
-            # with log tables, -a = a * g^((q-1)/2) is one lookup
-            neg = raw_neg if log_t is None else (
-                lambda a: exp2[log_t[a] + (q - 1) // 2] if a else 0)
             self.add = raw_add
-            self.sub = lambda a, b: raw_add(a, neg(b))
-            self.neg = neg
+            self.sub = lambda a, b: raw_add(a, raw_neg(b))
+            self.neg = raw_neg
 
     # -- element plumbing -----------------------------------------------------
 

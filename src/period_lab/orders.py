@@ -64,6 +64,13 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
     return r, _mk(f.field, f.coeffs[r:])
 
 
+@lru_cache(maxsize=128)
+def _power_kernel(field, n):
+    """The kernel of x^n over field, cached apart from poly._kernel's LRU,
+    through which the factoring kernels would cycle it between uses."""
+    return _kernel.__wrapped__(field, (0,) * n + (1,))
+
+
 def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
     """The minimal polynomial over F_p of a root of the monic irreducible
     `coeffs` over field = F_{p^e}: the product of its distinct conjugates
@@ -71,9 +78,9 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
     elements encode as their residues.  sigma is F.pow, and the products
     run on the field's kernel modulo x^N, N = e*d + 1: no partial product
     reaches degree N, so none is reduced, and the kernel is cached per
-    (field, d)."""
+    (field, N) by _power_kernel."""
     p, powf = field.p, field.pow
-    mul = _kernel(field, (0,) * (field.e * (len(coeffs) - 1) + 1) + (1,)).mulmod
+    mul = _power_kernel(field, field.e * (len(coeffs) - 1) + 1).mulmod
     out = conj = coeffs
     while True:
         conj = tuple(powf(c, p) for c in conj)

@@ -27,7 +27,6 @@ from .orders import (
     irreducible_order,
     poly_order,
     poly_order_bruteforce,
-    prime_power_order,
     strip_x_power,
 )
 from .period_sets import (
@@ -92,8 +91,7 @@ __all__ = [
     "Poly", "Factorization", "factor", "gcd", "xgcd", "powmod",
     "is_irreducible", "monic_polys", "parse_poly", "format_poly",
     "OrderResult", "FactorContribution", "poly_order",
-    "poly_order_bruteforce", "irreducible_order", "prime_power_order",
-    "strip_x_power",
+    "poly_order_bruteforce", "irreducible_order", "strip_x_power",
     "Recurrence", "SequenceRun", "generate", "period_bruteforce",
     "impulse_state", "impulse_response_period",
     "companion_order_bruteforce", "berlekamp_massey", "minimal_poly",

@@ -7,6 +7,12 @@ byte-identical across runs for identical inputs.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.  Diagnostics
 go to standard error only, so piped output stays clean.
+
+Start-up is most of a small command's cost, so main builds the parser
+for the subcommand that argv names and no other (for `ring`, only the
+named ring subcommand).  When argv names none (--help, no command, an
+unknown command, a bare `ring`) it builds them all.  Help, usage and
+error texts are the same either way.
 """
 
 from __future__ import annotations
@@ -385,92 +391,148 @@ def _add_common(sub, *, budget=False):
                               "(default 10^6 or $PERIOD_LAB_BUDGET)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _wire_ord(p):
+    p.add_argument("--field", required=True, help="field spec, e.g. 2 or 3^2")
+    p.add_argument("--poly", required=True, help="polynomial text, e.g. x^5+x^4+1")
+    p.add_argument("--method", choices=("pipeline", "bruteforce", "both"),
+                   default="pipeline")
+    p.add_argument("--explain", action="store_true",
+                   help="include the per-factor ledger")
+    _add_common(p, budget=True)
+    p.set_defaults(prepare=_prepare_ord, run=_run_ord)
+
+
+def _wire_simulate(p):
+    p.add_argument("--field", required=True)
+    p.add_argument("--rec", required=True,
+                   help="coefficients c_0,...,c_{k-1}")
+    p.add_argument("--init", required=True, help="initial state a_0,...,a_{k-1}")
+    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--period", action="store_true",
+                   help="also measure the period")
+    p.add_argument("--trajectory", action="store_true",
+                   help="include the state trajectory (JSON)")
+    _add_common(p, budget=True)
+    p.set_defaults(prepare=_prepare_simulate, run=_run_simulate)
+
+
+def _wire_minpoly(p):
+    p.add_argument("--field", required=True)
+    p.add_argument("--terms", required=True, help="comma-separated terms")
+    p.add_argument("--bound", type=int, required=True,
+                   help="degree bound (prefix must have >= 2*bound terms)")
+    _add_common(p)
+    p.set_defaults(prepare=_prepare_minpoly, run=_run_minpoly)
+
+
+def _wire_period_set(p):
+    p.add_argument("--field", required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
+                   default="closed")
+    _add_common(p, budget=True)
+    p.set_defaults(prepare=_prepare_period_set, run=_run_period_set)
+
+
+def _wire_ring_period_set(p):
+    p.add_argument("--components", required=True,
+                   help="comma-separated field specs, e.g. 2,3,5")
+    p.add_argument("--degree", type=int, required=True)
+    _add_common(p, budget=True)
+    p.set_defaults(prepare=_prepare_ring_period_set, run=_run_ring_period_set)
+
+
+def _wire_ring_period(p):
+    p.add_argument("--components", required=True)
+    p.add_argument("--rec", required=True,
+                   help="ring coefficients; parts joined with '|', e.g. 1|1|1,0|2|3")
+    p.add_argument("--init", required=True)
+    p.add_argument("--method", choices=("lcm", "both"), default="lcm")
+    _add_common(p)
+    p.set_defaults(prepare=_prepare_ring_period, run=_run_ring_period)
+
+
+def _wire_algebra(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--max-period", action="store_true",
+                   help="compute the maximum degree-k period")
+    _add_common(p, budget=True)
+    p.set_defaults(prepare=_prepare_algebra, run=_run_algebra)
+
+
+def _wire_verify(p):
+    p.add_argument("--scope", choices=("all",) + SCOPES, default="all")
+    _add_common(p)
+    p.set_defaults(prepare=_prepare_verify, run=_run_verify_cmd)
+
+
+# name -> (help, wiring); a nested table is a command group such as `ring`,
+# whose subcommand lands in args.<name>_command
+_RING_COMMANDS = {
+    "period-set": ("period set over the ring", _wire_ring_period_set),
+    "period": ("period of one ring recurrence", _wire_ring_period),
+}
+_COMMANDS = {
+    "ord": ("order of a polynomial", _wire_ord),
+    "simulate": ("generate a recurrence sequence", _wire_simulate),
+    "minpoly": ("minimal polynomial of a sequence prefix", _wire_minpoly),
+    "period-set": ("period set of a fixed degree", _wire_period_set),
+    "ring": ("product-of-fields computations", _RING_COMMANDS),
+    "algebra": ("cyclic group algebra F_p[t]/<t^n-1>", _wire_algebra),
+    "verify": ("run the built-in verification suite", _wire_verify),
+}
+
+
+def _add_commands(parser, dest: str, table: dict, path: tuple) -> None:
+    """Subparsers for the commands in table, or only for path[0] if path
+    names one.  That one alone gets a metavar listing every name, so that a
+    usage line still reads as with all subparsers built."""
+    metavar = "{" + ",".join(table) + "}" if path else None
+    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (help_text, wiring) in table.items():
+        if path and path[0] != name:
+            continue
+        sub = subs.add_parser(name, help=help_text)
+        if isinstance(wiring, dict):
+            _add_commands(sub, f"{name}_command", wiring, path[1:])
+        else:
+            wiring(sub)
+
+
+def _command_path(argv) -> tuple:
+    """The leaf command that argv starts with, as names from the top, e.g.
+    ("ring", "period"); () when argv starts with none (an option such as
+    --help, no or an unknown command, a group without its subcommand)."""
+    table, path = _COMMANDS, ()
+    for word in argv:
+        if word not in table:
+            return ()
+        path += (word,)
+        wiring = table[word][1]
+        if not isinstance(wiring, dict):
+            return path
+        table = wiring
+    return ()
+
+
+def build_parser(path: tuple = ()) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with only the one
+    that path names (see _command_path)."""
     parser = argparse.ArgumentParser(
         prog="period-lab",
         description="Periods of linear recurrences over finite fields, "
                     "products of fields, and cyclic group algebras.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_ord = subs.add_parser("ord", help="order of a polynomial")
-    p_ord.add_argument("--field", required=True, help="field spec, e.g. 2 or 3^2")
-    p_ord.add_argument("--poly", required=True, help="polynomial text, e.g. x^5+x^4+1")
-    p_ord.add_argument("--method", choices=("pipeline", "bruteforce", "both"),
-                       default="pipeline")
-    p_ord.add_argument("--explain", action="store_true",
-                       help="include the per-factor ledger")
-    _add_common(p_ord, budget=True)
-    p_ord.set_defaults(prepare=_prepare_ord, run=_run_ord)
-
-    p_sim = subs.add_parser("simulate", help="generate a recurrence sequence")
-    p_sim.add_argument("--field", required=True)
-    p_sim.add_argument("--rec", required=True,
-                       help="coefficients c_0,...,c_{k-1}")
-    p_sim.add_argument("--init", required=True, help="initial state a_0,...,a_{k-1}")
-    p_sim.add_argument("--terms", type=int, required=True)
-    p_sim.add_argument("--period", action="store_true",
-                       help="also measure the period")
-    p_sim.add_argument("--trajectory", action="store_true",
-                       help="include the state trajectory (JSON)")
-    _add_common(p_sim, budget=True)
-    p_sim.set_defaults(prepare=_prepare_simulate, run=_run_simulate)
-
-    p_min = subs.add_parser("minpoly", help="minimal polynomial of a sequence prefix")
-    p_min.add_argument("--field", required=True)
-    p_min.add_argument("--terms", required=True, help="comma-separated terms")
-    p_min.add_argument("--bound", type=int, required=True,
-                       help="degree bound (prefix must have >= 2*bound terms)")
-    _add_common(p_min)
-    p_min.set_defaults(prepare=_prepare_minpoly, run=_run_minpoly)
-
-    p_ps = subs.add_parser("period-set", help="period set of a fixed degree")
-    p_ps.add_argument("--field", required=True)
-    p_ps.add_argument("--degree", type=int, required=True)
-    p_ps.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
-                      default="closed")
-    _add_common(p_ps, budget=True)
-    p_ps.set_defaults(prepare=_prepare_period_set, run=_run_period_set)
-
-    p_ring = subs.add_parser("ring", help="product-of-fields computations")
-    ring_subs = p_ring.add_subparsers(dest="ring_command", required=True)
-
-    p_rps = ring_subs.add_parser("period-set", help="period set over the ring")
-    p_rps.add_argument("--components", required=True,
-                       help="comma-separated field specs, e.g. 2,3,5")
-    p_rps.add_argument("--degree", type=int, required=True)
-    _add_common(p_rps, budget=True)
-    p_rps.set_defaults(prepare=_prepare_ring_period_set, run=_run_ring_period_set)
-
-    p_rp = ring_subs.add_parser("period", help="period of one ring recurrence")
-    p_rp.add_argument("--components", required=True)
-    p_rp.add_argument("--rec", required=True,
-                      help="ring coefficients; parts joined with '|', e.g. 1|1|1,0|2|3")
-    p_rp.add_argument("--init", required=True)
-    p_rp.add_argument("--method", choices=("lcm", "both"), default="lcm")
-    _add_common(p_rp)
-    p_rp.set_defaults(prepare=_prepare_ring_period, run=_run_ring_period)
-
-    p_alg = subs.add_parser("algebra", help="cyclic group algebra F_p[t]/<t^n-1>")
-    p_alg.add_argument("--p", type=int, required=True)
-    p_alg.add_argument("--n", type=int, required=True)
-    p_alg.add_argument("--degree", type=int, default=None)
-    p_alg.add_argument("--max-period", action="store_true",
-                       help="compute the maximum degree-k period")
-    _add_common(p_alg, budget=True)
-    p_alg.set_defaults(prepare=_prepare_algebra, run=_run_algebra)
-
-    p_ver = subs.add_parser("verify", help="run the built-in verification suite")
-    p_ver.add_argument("--scope", choices=("all",) + SCOPES, default="all")
-    _add_common(p_ver)
-    p_ver.set_defaults(prepare=_prepare_verify, run=_run_verify_cmd)
-
+    _add_commands(parser, "command", _COMMANDS, path)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_command_path(argv)).parse_args(argv)
     try:
         inputs = args.prepare(args)
     except (UsageError, ValueError) as exc:

@@ -10,6 +10,9 @@ route reads budget=None as default_budget().  Every brute-force walk (the
 state shift of a recurrence, h <- x*h mod g, M <- M*C) runs in walk_back:
 it stops after min(provable cap, budget) steps, raising BudgetExceeded
 past the budget and the route's own "bug?" error past the cap.
+
+Record, the base of the package's result records, lives here as well, so
+that every module can use it without importing dataclasses.
 """
 
 import os
@@ -121,3 +124,47 @@ def walk_back(start, step, what: str, cap: int, bug: type[Exception],
     if budget < cap:
         raise BudgetExceeded(f"no {what} within the budget of {budget} steps")
     raise bug(f"no {what} within {cap} steps (bug?)")
+
+
+class Record:
+    """An immutable value with the fields named in `_fields`.
+
+    A subclass lists its fields in `_fields` (and in `__slots__`) and
+    passes their values to `Record.__init__` in that order.  Records of one
+    class compare and hash by their fields, print as `Name(field=value,
+    ...)`, pickle and copy through `__init__`, and raise AttributeError on
+    assignment, as frozen dataclasses do.  A mutable subclass restores
+    object.__setattr__ and sets __hash__ = None, as a dataclass that is not
+    frozen has.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

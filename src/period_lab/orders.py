@@ -19,11 +19,11 @@ field tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     LimitExceeded,
+    Record,
     ReduciblePolynomial,
     ZeroConstantTerm,
     ZeroPolynomial,
@@ -34,24 +34,29 @@ from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multipl
 from .poly import Poly, _kernel, _mk, _rmonic, factor, is_irreducible
 
 
-@dataclass(frozen=True)
-class FactorContribution:
-    """One distinct irreducible factor's share of the order."""
+class FactorContribution(Record):
+    """One distinct irreducible factor's share of the order: its
+    multiplicity, base_order (the order of the irreducible factor itself),
+    char_exponent (the smallest t with p^t >= multiplicity) and contribution
+    (base_order * p^char_exponent)."""
 
-    factor: Poly
-    multiplicity: int
-    base_order: int      # order of the irreducible factor itself
-    char_exponent: int   # smallest t with p^t >= multiplicity
-    contribution: int    # base_order * p^char_exponent
+    __slots__ = _fields = ("factor", "multiplicity", "base_order", "char_exponent",
+                           "contribution")
+
+    def __init__(self, factor: Poly, multiplicity: int, base_order: int,
+                 char_exponent: int, contribution: int):
+        Record.__init__(self, factor, multiplicity, base_order, char_exponent,
+                        contribution)
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(Record):
     """Order of a polynomial plus the per-factor ledger behind it."""
 
-    order: int
-    strip_exponent: int
-    contributions: tuple[FactorContribution, ...]
+    __slots__ = _fields = ("order", "strip_exponent", "contributions")
+
+    def __init__(self, order: int, strip_exponent: int,
+                 contributions: tuple[FactorContribution, ...]):
+        Record.__init__(self, order, strip_exponent, contributions)
 
 
 def strip_x_power(f: Poly) -> tuple[int, Poly]:

@@ -12,11 +12,9 @@ oracle for small (q, k), and the exact route answers everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
-from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange, default_budget
+from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange, Record, default_budget
 from .ff import FieldCtx
 from .intfactor import (
     INT64_MAX,
@@ -29,12 +27,16 @@ from .intfactor import (
 from .orders import _char_boost, poly_order
 from .poly import monic_polys
 
-@dataclass(frozen=True)
-class PeriodSet:
+
+class PeriodSet(Record):
     """Sorted deduplicated set of achievable periods; compares equal to
     any set, tuple or list holding the same values."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values", "_frozen")  # _frozen: as_set(), built on first use
+    _fields = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        Record.__init__(self, values)
 
     @classmethod
     def of(cls, iterable) -> "PeriodSet":
@@ -49,15 +51,15 @@ class PeriodSet:
     def __len__(self):
         return len(self.values)
 
-    @cached_property
-    def _frozen(self) -> frozenset:
-        return frozenset(self.values)
-
     def __contains__(self, n):
-        return n in self._frozen
+        return n in self.as_set()
 
     def as_set(self) -> frozenset:
-        return self._frozen
+        try:
+            return self._frozen
+        except AttributeError:
+            object.__setattr__(self, "_frozen", frozenset(self.values))
+            return self._frozen
 
     def issubset(self, other) -> bool:
         return self.as_set() <= _as_frozenset(other)

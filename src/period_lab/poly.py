@@ -37,7 +37,6 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -45,6 +44,7 @@ from .errors import (
     MixedContexts,
     OutOfRange,
     ParseError,
+    Record,
     ZeroPolynomial,
 )
 from .ff import FieldCtx, _clmod, _clmul, _square_multiply
@@ -625,13 +625,14 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * product(factor^multiplicity); factors monic irreducible,
     pairwise distinct, sorted by (degree, little-endian coefficients)."""
 
-    unit: int
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = _fields = ("unit", "factors")
+
+    def __init__(self, unit: int, factors: tuple[tuple[Poly, int], ...]):
+        Record.__init__(self, unit, factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -703,16 +704,24 @@ def _distinct_degree_parts(F, f):
     return out
 
 
-def _equal_degree_split(F, f, d, rng):
+def _edf_draws(q: int):
+    """The equal-degree split's random elements of range(q).  Random is
+    built at the first draw, so a factorization that never splits (say of
+    an irreducible) builds none."""
+    rng = random.Random(_EDF_SEED)
+    while True:
+        yield rng.randrange(q)
+
+
+def _equal_degree_split(F, f, d, draws):
     """Irreducible factors of monic squarefree f whose factors all have
-    degree d (Cantor-Zassenhaus, deterministic given the rng state)."""
+    degree d (Cantor-Zassenhaus, deterministic given the draws so far)."""
     n = len(f) - 1
     if n == d:
         return [f]
-    q = F.q
     k = _kernel(F, f)
     while True:
-        r = _trim([rng.randrange(q) for _ in range(n)])
+        r = _trim([next(draws) for _ in range(n)])
         if len(r) < 2:
             continue
         if F.p == 2:
@@ -722,10 +731,11 @@ def _equal_degree_split(F, f, d, rng):
                 acc = _radd(F, acc, s)
             g = _kgcd(F, acc, f)
         else:
-            g = _kgcd(F, _rsub(F, k.powmod(r, (q ** d - 1) // 2), (1,)), f)
+            g = _kgcd(F, _rsub(F, k.powmod(r, (F.q ** d - 1) // 2), (1,)), f)
         if 1 < len(g) < len(f):
             rest = _kdivmod(F, f, g)[0]
-            return _equal_degree_split(F, g, d, rng) + _equal_degree_split(F, rest, d, rng)
+            return (_equal_degree_split(F, g, d, draws)
+                    + _equal_degree_split(F, rest, d, draws))
 
 
 def factor(f: Poly) -> Factorization:
@@ -737,11 +747,11 @@ def factor(f: Poly) -> Factorization:
     w = _rmonic(F, f.coeffs)
     if len(w) == 1:
         return Factorization(unit, ())
-    rng = random.Random(_EDF_SEED)
+    draws = _edf_draws(F.q)
     counts: dict[tuple, int] = {}
     for part, mult in _squarefree_parts(F, w):
         for prod, d in _distinct_degree_parts(F, part):
-            for irr in _equal_degree_split(F, prod, d, rng):
+            for irr in _equal_degree_split(F, prod, d, draws):
                 counts[irr] = counts.get(irr, 0) + mult
     ordered = sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return Factorization(unit, tuple((_mk(F, cs), m) for cs, m in ordered))

@@ -10,8 +10,6 @@ field-only, matching the underlying theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CapExceeded,
     ConstantPolynomial,
@@ -19,26 +17,25 @@ from .errors import (
     LengthMismatch,
     NonUnitCoefficient,
     OutOfRange,
+    Record,
     walk_back,
 )
 from .ff import FieldCtx
 from .poly import Poly, _mk, _trim
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Record):
     """a_{n+k} = sum(c_i * a_{n+i}, i < k) with coefficients (c_0, ..., c_{k-1})."""
 
-    ctx: object
-    coeffs: tuple
+    __slots__ = _fields = ("ctx", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(self.ctx.element(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, ctx, coeffs: tuple):
+        coeffs = tuple(ctx.element(c) for c in coeffs)
         if not coeffs:
             raise OutOfRange("recurrence degree must be >= 1")
-        if not self.ctx.is_unit(coeffs[0]):
+        if not ctx.is_unit(coeffs[0]):
             raise NonUnitCoefficient(f"c_0 = {coeffs[0]!r} is not a unit")
+        Record.__init__(self, ctx, coeffs)
 
     @property
     def k(self) -> int:
@@ -225,16 +222,18 @@ def minimal_poly(field: FieldCtx, prefix, degree_bound: int) -> Poly:
     return _mk(field, _trim(tuple(reversed(conn))))
 
 
-@dataclass
-class SequenceRun:
+class SequenceRun(Record):
     """A recurrence with a fixed initial state; caches the measured period."""
 
-    recurrence: Recurrence
-    initial: tuple
-    _period: int | None = None
+    # mutable and so unhashable, like a dataclass that is not frozen
+    _fields = ("recurrence", "initial", "_period")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __post_init__(self):
-        self.initial = _canonical_state(self.recurrence, self.initial)
+    def __init__(self, recurrence: Recurrence, initial: tuple,
+                 _period: int | None = None):
+        Record.__init__(self, recurrence, _canonical_state(recurrence, initial), _period)
 
     def prefix(self, count: int) -> list:
         return generate(self.recurrence, self.initial, count)

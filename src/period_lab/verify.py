@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools as it
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import Record
 from .ff import make_field
 from .intfactor import is_prime, split_prime_power
 from .orders import poly_order, poly_order_bruteforce
@@ -49,20 +49,20 @@ from .sequences import (
 SCOPES = ("orders", "period-sets", "rings")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    scope: str
-    claim: str
-    expected: str
-    computed: str
-    passed: bool
-    elapsed_ms: float
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "scope", "claim", "expected", "computed", "passed",
+                           "elapsed_ms")
+
+    def __init__(self, name: str, scope: str, claim: str, expected: str, computed: str,
+                 passed: bool, elapsed_ms: float):
+        Record.__init__(self, name, scope, claim, expected, computed, passed, elapsed_ms)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
+class VerifyReport(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        Record.__init__(self, checks)
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -130,15 +132,23 @@ def test_default_budget_lives_in_errors():
     assert default_budget.__module__ == "period_lab.errors"
 
 
-def test_import_loads_no_process_pool():
+def _loaded_by_cli_import(modules) -> str:
+    """Which of modules a fresh interpreter holds after importing the CLI."""
     src = str(Path(cli.__file__).parents[1])
     probe = ("import sys, period_lab.cli; "
-             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out == "[]\n"
+             f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
+def test_import_loads_no_process_pool():
+    assert _loaded_by_cli_import(("concurrent.futures", "multiprocessing")) == "[]\n"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses and what it pulls in were two thirds of the CLI's import time
+    assert _loaded_by_cli_import(("dataclasses", "inspect", "ast", "dis")) == "[]\n"
 
 
 def test_period_set_json_schema(capsys):
@@ -321,3 +331,116 @@ def test_verify_json_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--scope", "period-sets", "--format", "json")
     _, second, _ = run_cli(capsys, "verify", "--scope", "period-sets", "--format", "json")
     assert first == second
+
+
+# -- the parser: only the named subcommand's is built ----------------------------
+
+# each leaf command with a complete set of its required arguments
+LEAVES = {
+    ("ord",): ["--field", "2", "--poly", "x+1"],
+    ("simulate",): ["--field", "2", "--rec", "1", "--init", "1", "--terms", "2"],
+    ("minpoly",): ["--field", "2", "--terms", "1,1", "--bound", "1"],
+    ("period-set",): ["--field", "2", "--degree", "2"],
+    ("ring", "period-set"): ["--components", "2", "--degree", "2"],
+    ("ring", "period"): ["--components", "2", "--rec", "1", "--init", "1"],
+    ("algebra",): ["--p", "2", "--n", "3"],
+    ("verify",): [],
+}
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); code None
+    when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+@pytest.mark.parametrize("case", ("help", "missing-required", "bad-choice", "unrecognized"))
+def test_thin_parser_prints_what_the_full_parser_prints(monkeypatch, path, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    tail = {"help": ["--help"], "missing-required": [], "bad-choice": ["--format", "xml"],
+            "unrecognized": LEAVES[path] + ["extra"]}[case]
+    argv = [*path, *tail]
+    assert cli._command_path(argv) == path
+    thin = _parse(cli.build_parser(path), argv)
+    assert thin == _parse(cli.build_parser(), argv)
+    if tail == ["--help"]:
+        assert thin[0] == 0 and thin[1].startswith(f"usage: period-lab {' '.join(path)} ")
+    elif tail or path != ("verify",):  # verify has no required argument
+        assert thin[0] == 2 and thin[2].startswith("usage: period-lab ")
+
+
+def test_thin_parser_holds_only_the_named_subcommand():
+    code, _, err = _parse(cli.build_parser(("ord",)), ["simulate"])
+    assert code == 2 and "invalid choice: 'simulate' (choose from 'ord')" in err
+    ring = cli.build_parser(("ring", "period"))
+    code, _, err = _parse(ring, ["ring", "period-set"])
+    assert code == 2 and "invalid choice: 'period-set' (choose from 'period')" in err
+    args = ring.parse_args(["ring", "period", "--components", "2", "--rec", "1",
+                            "--init", "1"])
+    assert (args.command, args.ring_command, args.run) == ("ring", "period",
+                                                           cli._run_ring_period)
+
+
+def test_main_builds_the_parser_argv_names(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or build(path))
+    main(["ord", "--field", "2", "--poly", "x+1"])
+    main(["ring", "period", "--components", "2", "--rec", "1", "--init", "1"])
+    for argv in (["--help"], [], ["bogus"], ["ring"], ["ring", "--help"], ["-h", "ord"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == [("ord",), ("ring", "period")] + [()] * 6
+    capsys.readouterr()
+
+
+TOP_USAGE = """usage: period-lab [-h]
+                  {ord,simulate,minpoly,period-set,ring,algebra,verify} ...
+"""
+FULL_PARSER_TEXTS = {
+    "--help": (0, TOP_USAGE + """
+Periods of linear recurrences over finite fields, products of fields, and
+cyclic group algebras.
+
+positional arguments:
+  {ord,simulate,minpoly,period-set,ring,algebra,verify}
+    ord                 order of a polynomial
+    simulate            generate a recurrence sequence
+    minpoly             minimal polynomial of a sequence prefix
+    period-set          period set of a fixed degree
+    ring                product-of-fields computations
+    algebra             cyclic group algebra F_p[t]/<t^n-1>
+    verify              run the built-in verification suite
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "": (2, "", TOP_USAGE + "period-lab: error: the following arguments are required: "
+                "command\n"),
+    "bogus": (2, "", TOP_USAGE + "period-lab: error: argument command: invalid choice: "
+                     "'bogus' (choose from 'ord', 'simulate', 'minpoly', 'period-set', "
+                     "'ring', 'algebra', 'verify')\n"),
+    "ring": (2, "", "usage: period-lab ring [-h] {period-set,period} ...\n"
+                    "period-lab ring: error: the following arguments are required: "
+                    "ring_command\n"),
+}
+
+
+@pytest.mark.parametrize("line", FULL_PARSER_TEXTS)
+def test_full_parser_texts_are_unchanged(monkeypatch, capsys, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._command_path(line.split()) == ()
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    out, err = capsys.readouterr()
+    # Python 3.10 heads the options section "optional arguments:"
+    out = out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert (exc.value.code, out, err) == FULL_PARSER_TEXTS[line]

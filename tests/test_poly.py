@@ -452,6 +452,31 @@ def test_factor_determinism_and_seed():
     assert factor(f) == factor(f)
 
 
+def test_factor_builds_its_random_only_when_a_split_draws(monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    # an irreducible, and distinct-degree parts that are irreducible already
+    for text in ("x^5+x^2+1", "x^5+x^4+1"):
+        factor(parse_poly(F2, text))
+    assert built == []
+    # x^6+1 over F_5 has two linear and two quadratic factors to split
+    fac = factor(Poly(F5, (1, 0, 0, 0, 0, 0, 1)))
+    assert [g.degree for g, _ in fac] == [1, 1, 2, 2]
+    assert built == [(poly._EDF_SEED,)]
+
+
+def test_edf_draws_match_one_seeded_random():
+    rng = random.Random(poly._EDF_SEED)
+    draws = poly._edf_draws(7)
+    assert [next(draws) for _ in range(50)] == [rng.randrange(7) for _ in range(50)]
+
+
 def test_factor_zero_and_constant():
     with pytest.raises(ZeroPolynomial):
         factor(Poly.zero(F2))

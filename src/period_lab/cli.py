@@ -6,7 +6,11 @@ JSON payloads carry a top-level {"schema": "period-lab/1"} key and are
 byte-identical across runs for identical inputs.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.  Diagnostics
-go to standard error only, so piped output stays clean.
+go to standard error only, so piped output stays clean.  Each command
+reads its inputs in one `with _reading_inputs():` block, where a
+ValueError (a bad field spec, polynomial or element) becomes a
+UsageError; main maps UsageError to 2 and a ValueError, ArithmeticError
+or RuntimeError raised by the computation after it to 1.
 
 Start-up is most of a small command's cost, so main builds the parser
 for the subcommand that argv names and no other (for `ring`, only the
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .ff import parse_field_spec
 from .intfactor import lcm64
@@ -77,15 +82,33 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list]):
             print(line)
 
 
+@contextmanager
+def _reading_inputs():
+    """A ValueError raised while a command reads its inputs is a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+
+
+def _at_least(value, low: int, flag: str) -> None:
+    """Refuse an integer option below low; None (not given) passes."""
+    if value is not None and value < low:
+        raise UsageError(f"{flag} must be >= {low}")
+
+
+def _elements(ctx, text: str) -> tuple:
+    """The comma-separated elements of a field or ring."""
+    return tuple(ctx.parse_element(s) for s in _split_top_level(text))
+
+
 # -- ord ------------------------------------------------------------------------
 
-def _prepare_ord(args):
-    field = parse_field_spec(args.field)
-    return field, parse_poly(field, args.poly)
-
-
-def _run_ord(args, inputs) -> int:
-    field, f = inputs
+def _run_ord(args) -> int:
+    with _reading_inputs():
+        field = parse_field_spec(args.field)
+        f = parse_poly(field, args.poly)
+        _at_least(args.budget, 1, "--budget")
     payload = {"schema": SCHEMA, "command": "ord",
                "field": field.spec(), "poly": format_poly(f),
                "method": args.method}
@@ -130,17 +153,14 @@ def _run_ord(args, inputs) -> int:
 
 # -- simulate ---------------------------------------------------------------------
 
-def _prepare_simulate(args):
-    field = parse_field_spec(args.field)
-    coeffs = tuple(field.parse_element(s) for s in _split_top_level(args.rec))
-    init = tuple(field.parse_element(s) for s in _split_top_level(args.init))
-    if args.terms < 0:
-        raise UsageError("--terms must be >= 0")
-    return field, Recurrence(field, coeffs), init
-
-
-def _run_simulate(args, inputs) -> int:
-    field, rec, init = inputs
+def _run_simulate(args) -> int:
+    with _reading_inputs():
+        field = parse_field_spec(args.field)
+        coeffs = _elements(field, args.rec)
+        init = _elements(field, args.init)
+        _at_least(args.terms, 0, "--terms")
+        rec = Recurrence(field, coeffs)
+        _at_least(args.budget, 1, "--budget")
     # state i of the trajectory is (a_i, ..., a_{i+k-1})
     n_states = max(args.terms, 1)
     seq = generate(rec, init, max(args.terms, n_states + rec.k - 1))
@@ -168,16 +188,11 @@ def _run_simulate(args, inputs) -> int:
 
 # -- minpoly -----------------------------------------------------------------------
 
-def _prepare_minpoly(args):
-    field = parse_field_spec(args.field)
-    terms = [field.parse_element(s) for s in _split_top_level(args.terms)]
-    if args.bound < 0:
-        raise UsageError("--bound must be >= 0")
-    return field, terms
-
-
-def _run_minpoly(args, inputs) -> int:
-    field, terms = inputs
+def _run_minpoly(args) -> int:
+    with _reading_inputs():
+        field = parse_field_spec(args.field)
+        terms = _elements(field, args.terms)
+        _at_least(args.bound, 0, "--bound")
     m = minimal_poly(field, terms, args.bound)
     payload = {"schema": SCHEMA, "command": "minpoly", "field": field.spec(),
                "bound": args.bound, "minimal_poly": format_poly(m)}
@@ -187,15 +202,11 @@ def _run_minpoly(args, inputs) -> int:
 
 # -- period-set ----------------------------------------------------------------------
 
-def _prepare_period_set(args):
-    field = parse_field_spec(args.field)
-    if args.degree < 1:
-        raise UsageError("--degree must be >= 1")
-    return (field,)
-
-
-def _run_period_set(args, inputs) -> int:
-    (field,) = inputs
+def _run_period_set(args) -> int:
+    with _reading_inputs():
+        field = parse_field_spec(args.field)
+        _at_least(args.degree, 1, "--degree")
+        _at_least(args.budget, 1, "--budget")
     k, q = args.degree, field.q
     methods = ["closed", "bound", "bruteforce"] if args.method == "all" else [args.method]
     sets = {}
@@ -232,22 +243,18 @@ def _run_period_set(args, inputs) -> int:
 
 # -- ring -------------------------------------------------------------------------
 
-def _prepare_ring_common(args):
-    specs = _split_top_level(args.components)
+def _product_ring(text: str):
+    specs = _split_top_level(text)
     if not specs or specs == [""]:
         raise UsageError("--components must list at least one field")
     return make_product_ring(specs)
 
 
-def _prepare_ring_period_set(args):
-    ring = _prepare_ring_common(args)
-    if args.degree < 1:
-        raise UsageError("--degree must be >= 1")
-    return (ring,)
-
-
-def _run_ring_period_set(args, inputs) -> int:
-    (ring,) = inputs
+def _run_ring_period_set(args) -> int:
+    with _reading_inputs():
+        ring = _product_ring(args.components)
+        _at_least(args.degree, 1, "--degree")
+        _at_least(args.budget, 1, "--budget")
     k = args.degree
     component_sets, combined = ring_period_sets(ring, k, budget=args.budget)
     payload = {
@@ -265,15 +272,12 @@ def _run_ring_period_set(args, inputs) -> int:
     return 0
 
 
-def _prepare_ring_period(args):
-    ring = _prepare_ring_common(args)
-    coeffs = tuple(ring.parse_element(s) for s in _split_top_level(args.rec))
-    init = tuple(ring.parse_element(s) for s in _split_top_level(args.init))
-    return ring, Recurrence(ring, coeffs), init
-
-
-def _run_ring_period(args, inputs) -> int:
-    ring, rec, init = inputs
+def _run_ring_period(args) -> int:
+    with _reading_inputs():
+        ring = _product_ring(args.components)
+        coeffs = _elements(ring, args.rec)
+        init = _elements(ring, args.init)
+        rec = Recurrence(ring, coeffs)
     cpers = component_periods(rec, init)
     period = lcm64(*cpers)
     payload = {
@@ -301,16 +305,12 @@ def _run_ring_period(args, inputs) -> int:
 
 # -- algebra ------------------------------------------------------------------------
 
-def _prepare_algebra(args):
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
-    if args.degree is not None and args.degree < 1:
-        raise UsageError("--degree must be >= 1")
-    return (GroupAlgebra(args.p, args.n),)
-
-
-def _run_algebra(args, inputs) -> int:
-    (ga,) = inputs
+def _run_algebra(args) -> int:
+    with _reading_inputs():
+        _at_least(args.n, 2, "--n")
+        _at_least(args.degree, 1, "--degree")
+        ga = GroupAlgebra(args.p, args.n)
+        _at_least(args.budget, 1, "--budget")
     payload = {
         "schema": SCHEMA, "command": "algebra", "p": ga.p, "n": ga.n,
         "factors": [
@@ -348,11 +348,7 @@ def _run_algebra(args, inputs) -> int:
 
 # -- verify -------------------------------------------------------------------------
 
-def _prepare_verify(args):
-    return ()
-
-
-def _run_verify_cmd(args, inputs) -> int:
+def _run_verify_cmd(args) -> int:
     report = run_verify(args.scope)
     payload = {
         "schema": SCHEMA, "command": "verify", "scope": args.scope,
@@ -399,7 +395,7 @@ def _wire_ord(p):
     p.add_argument("--explain", action="store_true",
                    help="include the per-factor ledger")
     _add_common(p, budget=True)
-    p.set_defaults(prepare=_prepare_ord, run=_run_ord)
+    p.set_defaults(run=_run_ord)
 
 
 def _wire_simulate(p):
@@ -413,7 +409,7 @@ def _wire_simulate(p):
     p.add_argument("--trajectory", action="store_true",
                    help="include the state trajectory (JSON)")
     _add_common(p, budget=True)
-    p.set_defaults(prepare=_prepare_simulate, run=_run_simulate)
+    p.set_defaults(run=_run_simulate)
 
 
 def _wire_minpoly(p):
@@ -422,7 +418,7 @@ def _wire_minpoly(p):
     p.add_argument("--bound", type=int, required=True,
                    help="degree bound (prefix must have >= 2*bound terms)")
     _add_common(p)
-    p.set_defaults(prepare=_prepare_minpoly, run=_run_minpoly)
+    p.set_defaults(run=_run_minpoly)
 
 
 def _wire_period_set(p):
@@ -431,7 +427,7 @@ def _wire_period_set(p):
     p.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
                    default="closed")
     _add_common(p, budget=True)
-    p.set_defaults(prepare=_prepare_period_set, run=_run_period_set)
+    p.set_defaults(run=_run_period_set)
 
 
 def _wire_ring_period_set(p):
@@ -439,7 +435,7 @@ def _wire_ring_period_set(p):
                    help="comma-separated field specs, e.g. 2,3,5")
     p.add_argument("--degree", type=int, required=True)
     _add_common(p, budget=True)
-    p.set_defaults(prepare=_prepare_ring_period_set, run=_run_ring_period_set)
+    p.set_defaults(run=_run_ring_period_set)
 
 
 def _wire_ring_period(p):
@@ -449,7 +445,7 @@ def _wire_ring_period(p):
     p.add_argument("--init", required=True)
     p.add_argument("--method", choices=("lcm", "both"), default="lcm")
     _add_common(p)
-    p.set_defaults(prepare=_prepare_ring_period, run=_run_ring_period)
+    p.set_defaults(run=_run_ring_period)
 
 
 def _wire_algebra(p):
@@ -459,13 +455,13 @@ def _wire_algebra(p):
     p.add_argument("--max-period", action="store_true",
                    help="compute the maximum degree-k period")
     _add_common(p, budget=True)
-    p.set_defaults(prepare=_prepare_algebra, run=_run_algebra)
+    p.set_defaults(run=_run_algebra)
 
 
 def _wire_verify(p):
     p.add_argument("--scope", choices=("all",) + SCOPES, default="all")
     _add_common(p)
-    p.set_defaults(prepare=_prepare_verify, run=_run_verify_cmd)
+    p.set_defaults(run=_run_verify_cmd)
 
 
 # name -> (help, wiring); a nested table is a command group such as `ring`,
@@ -534,12 +530,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(_command_path(argv)).parse_args(argv)
     try:
-        inputs = args.prepare(args)
-    except (UsageError, ValueError) as exc:
+        return args.run(args)
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.run(args, inputs)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

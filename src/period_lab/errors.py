@@ -99,14 +99,17 @@ class BudgetExceeded(RuntimeError):
 
 def default_budget() -> int:
     """The work budget of a call that names none: $PERIOD_LAB_BUDGET, else
-    DEFAULT_BUDGET."""
+    DEFAULT_BUDGET.  A value that is not an integer >= 1 is refused."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise OutOfRange(f"bad {BUDGET_ENV_VAR} value {raw!r}") from exc
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise OutOfRange(f"bad {BUDGET_ENV_VAR} value {raw!r}")
+    return budget
 
 
 def walk_back(start, step, what: str, cap: int, bug: type[Exception],

@@ -133,12 +133,6 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     return _order_by_key(field, bytes(coeffs) if field.q <= 256 else coeffs)
 
 
-# the interface of lru_cache, with the uncached computation as __wrapped__
-_irreducible_order.cache_info = _order_by_key.cache_info
-_irreducible_order.cache_clear = _order_by_key.cache_clear
-_irreducible_order.__wrapped__ = _order_of_x
-
-
 def irreducible_order(g: Poly) -> int:
     """Multiplicative order of x in F_q[x]/<g> for monic irreducible g."""
     gm = g.monic()

@@ -824,8 +824,6 @@ def parse_poly(field: FieldCtx, text: str) -> Poly:
         if sgn < 0:
             c = field.neg(c)
         acc[exp] = field.add(acc.get(exp, 0), c)
-    if not acc:
-        return _mk(field, ())
     cs = [0] * (max(acc) + 1)
     for exp, c in acc.items():
         cs[exp] = c

@@ -22,7 +22,7 @@ import itertools
 import random
 from math import prod
 
-from .errors import BudgetExceeded, LengthMismatch, OutOfRange, default_budget
+from .errors import BudgetExceeded, LengthMismatch, OutOfRange, ParseError, default_budget
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
 from .period_sets import PeriodSet, divisors, period_set_exact, set_product
@@ -81,7 +81,10 @@ class ProductRing:
     def parse_element(self, text: str) -> tuple:
         parts = text.split("|")
         if len(parts) == 1 and self.r > 1:
-            return self.from_int(int(text))
+            try:
+                return self.from_int(int(text))
+            except ValueError as exc:
+                raise ParseError(f"bad element {text!r}") from exc
         if len(parts) != self.r:
             raise LengthMismatch(f"expected {self.r} '|'-separated parts in {text!r}")
         return tuple(c.parse_element(s) for c, s in zip(self.components, parts))

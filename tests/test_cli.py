@@ -10,7 +10,7 @@ import pytest
 
 from period_lab import cli, rings, sequences, verify
 from period_lab.cli import main
-from period_lab.errors import default_budget
+from period_lab.errors import OutOfRange, default_budget
 from period_lab.ff import parse_field_spec
 from period_lab.poly import parse_poly
 
@@ -113,6 +113,37 @@ def test_bad_budget_env_only_fails_budgeted_routes(monkeypatch, capsys):
                   "--init", "0|0,1|1")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err == "error: bad PERIOD_LAB_BUDGET value 'abc'\n", argv
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_budget_env_below_one_is_refused(monkeypatch, capsys, raw):
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", raw)
+    with pytest.raises(OutOfRange, match=f"^bad PERIOD_LAB_BUDGET value '{raw}'$"):
+        default_budget()
+    code, _, err = run_cli(capsys, "simulate", "--field", "5", "--rec", "1,1",
+                           "--init", "0,1", "--terms", "2", "--period")
+    assert code == 1 and err == f"error: bad PERIOD_LAB_BUDGET value '{raw}'\n"
+
+
+# each command that takes --budget, with inputs that are otherwise valid
+BUDGETED = (
+    ("ord", "--field", "2", "--poly", "x^5+x^4+1", "--method", "both"),
+    ("simulate", "--field", "5", "--rec", "1,1", "--init", "0,1", "--terms", "2",
+     "--period"),
+    ("period-set", "--field", "2", "--degree", "3", "--method", "exact"),
+    ("ring", "period-set", "--components", "2,3", "--degree", "2"),
+    ("algebra", "--p", "2", "--n", "5", "--max-period"),
+)
+
+
+@pytest.mark.parametrize("argv", BUDGETED,
+                         ids=lambda argv: " ".join(w for w in argv[:2] if w[0] != "-"))
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert (code, out, err) == (2, "", "usage error: --budget must be >= 1\n")
+    code, _, err = run_cli(capsys, *argv, "--budget", "1000")
+    assert code == 0 and err == ""
 
 
 def test_ring_period_walks_stop_at_the_budget_env():
@@ -325,6 +356,11 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL always-wrong (")
     assert out.splitlines()[1:] == ["     expected 1", "     computed 2", "0/1 checks passed"]
+
+
+def test_verify_refuses_an_unknown_scope():
+    with pytest.raises(ValueError, match="^unknown scope 'bogus'; choose all, orders, "):
+        verify.run_verify("bogus")
 
 
 def test_verify_json_deterministic(capsys):

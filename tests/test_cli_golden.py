@@ -62,6 +62,8 @@ CASES = (
     "period-set --field 2 --degree 25 --method bruteforce",
     "period-set --field 2^2 --degree 3 --method bruteforce",
     "period-set --field 2 --degree 0",
+    # a budget below 1 is refused before any work, as a usage error
+    "period-set --field 2 --degree 3 --method exact --budget 0",
     "ring period-set --components 2,3,5 --degree 2",
     "ring period-set --components 2^2,3 --degree 3",
     "ring period-set --components 2,5 --degree 5",
@@ -75,6 +77,8 @@ CASES = (
     "ring period --components 2,3,2^2 --rec 1|1|[1,0],1|2|[0,1] "
     "--init 0|0|[0,0],1|1|[1,0] --method both",
     "ring period --components 2,5 --rec 0|1,1 --init 0|0,1|1",
+    # a one-part element of a ring with several components must be an integer
+    "ring period --components 2,3 --rec 1|1,x --init 0|0,1|1",
     "algebra --p 2 --n 5 --max-period",
     "algebra --p 2 --n 5 --max-period --degree 5",
     "algebra --p 2 --n 4 --max-period",

@@ -311,6 +311,8 @@ def test_element_text_format():
         F5.parse_element("[1,2]")
     with pytest.raises(ParseError):
         F5.parse_element("x")
+    with pytest.raises(ParseError, match="bad coordinate list"):
+        F9.parse_element("[1,x]")
 
 
 def test_field_spec_roundtrip():

@@ -36,6 +36,8 @@ def test_set_combinators():
     assert set_union(divisors(2), divisors(3)) == {1, 2, 3}
     with pytest.raises(OverflowError):
         set_scale(2 ** 62, divisors(6))
+    with pytest.raises(OutOfRange, match="scale factor must be positive"):
+        set_scale(0, divisors(6))
 
 
 def test_period_set_semantics():
@@ -54,6 +56,8 @@ def test_period_set_semantics():
 def test_lower_bound_degree1():
     for q in (2, 3, 4, 5, 9):
         assert period_set_lower_bound(1, q) == divisors(q - 1)
+    with pytest.raises(OutOfRange):
+        period_set_lower_bound(0, 2)
 
 
 def test_lower_bound_reference_sets():
@@ -98,6 +102,8 @@ def test_order_set_bruteforce_references():
         order_set_bruteforce(F2, 30)
     with pytest.raises(BudgetExceeded):
         order_set_bruteforce(F2, 4, budget=10)
+    with pytest.raises(OutOfRange):
+        order_set_bruteforce(F2, 0)
 
 
 def test_budget_env_override(monkeypatch):

@@ -11,7 +11,7 @@ from period_lab.errors import (
     ZeroPolynomial,
 )
 from period_lab.ff import _square_multiply, make_field
-from period_lab.orders import _irreducible_order, poly_order
+from period_lab.orders import _order_by_key, _order_of_x, poly_order
 from period_lab.poly import (
     Factorization,
     Poly,
@@ -71,6 +71,9 @@ def test_arithmetic_reference_products():
     lin = parse_poly(F5, "x-3")
     assert lin * lin == parse_poly(F5, "x^2-x-1")
     assert lin * lin == parse_poly(F5, "x^2+4*x+4")
+    assert g * h - h == parse_poly(F2, "x^5+x^4+x^3+x")
+    assert -lin == parse_poly(F5, "3-x") and lin - lin == Poly.zero(F5)
+    assert (g * h + Poly.one(F2)) // g == h
 
 
 def test_divmod_identity_random():
@@ -129,6 +132,8 @@ def test_powmod():
     assert powmod(parse_poly(F2, "x^4+x"), 0, mod) == Poly.one(F2)
     with pytest.raises(ZeroDivisionError):
         powmod(x, 2, Poly.zero(F2))
+    with pytest.raises(OutOfRange, match="negative exponent"):
+        powmod(x, -1, mod)
 
 
 def reference_powmod(F, base, n, mod):
@@ -204,7 +209,7 @@ def test_prime_field_powmod_makes_no_field_callbacks():
                                ((3, 2), (2, 5, 7, 3, 1), 1640)):
         plain, F = make_field(p, e), make_field(p, e)
         F.mul = F.add = F.sub = F.neg = F.inv = refuse
-        assert _irreducible_order.__wrapped__(F, mod) == order
+        assert _order_of_x(F, mod) == order
         lead = F.q - 1  # a non-monic modulus: mod times the element q - 1
         scaled = tuple(plain.mul(c, lead) for c in mod)
         base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1
@@ -360,7 +365,7 @@ def test_one_kernel_per_modulus():
         if is_irreducible(g):
             break
     _kernel.cache_clear()
-    _irreducible_order.cache_clear()
+    _order_by_key.cache_clear()
     poly_order(g)
     info = _kernel.cache_info()
     assert info.misses == 1 and info.hits >= 1
@@ -494,6 +499,8 @@ def test_monic_enumeration_order():
     assert polys[1] == parse_poly(F3, "x^2+1")  # constant term varies fastest
     assert polys[3] == parse_poly(F3, "x^2+x")
     assert len(set(polys)) == 9
+    with pytest.raises(OutOfRange):
+        next(monic_polys(F3, -1))
 
 
 def test_parse_format_roundtrip():

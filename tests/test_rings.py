@@ -11,6 +11,7 @@ from period_lab.errors import (
     NonUnitCoefficient,
     NotPrimePower,
     OutOfRange,
+    ParseError,
 )
 from period_lab.ff import make_field
 from period_lab.intfactor import lcm64
@@ -87,6 +88,11 @@ def test_ring_element_plumbing():
     assert ring.parse_element("1|2|4") == (1, 2, 4)
     assert ring.parse_element("7") == (1, 1, 2)
     assert ring.format_element((1, 2, 4)) == "1|2|4"
+    with pytest.raises(LengthMismatch, match=r"^expected 3 '\|'-separated parts in '1\|2'$"):
+        ring.parse_element("1|2")
+    # a one-part element is an integer, refused in the fields' own words
+    with pytest.raises(ParseError, match="^bad element 'x'$"):
+        ring.parse_element("x")
 
 
 def test_projected_fibonacci_periods():
@@ -107,6 +113,8 @@ def test_period_over_ring_fibonacci():
     assert period_over_ring(rec, s0) == lcm64(3, 20) == 60
     assert period_bruteforce(rec, s0) == 60
     assert period_over_ring(rec, ((0, 0), (0, 0))) == 1
+    with pytest.raises(TypeError, match="product-ring recurrence"):
+        component_periods(F5_FIB, (0, 1))
 
 
 def test_period_over_ring_single_component():
@@ -178,6 +186,8 @@ def test_bound_chain_for_multi_component_rings():
 def test_lcm_closure_helper():
     closure = lcm_closure([PeriodSet.of([1, 2, 3]), PeriodSet.of([1, 4])])
     assert closure == {1, 2, 3, 4, 12}
+    with pytest.raises(OutOfRange, match="no sets"):
+        lcm_closure([])
 
 
 def test_lcm_closure_budget():
@@ -291,6 +301,8 @@ def test_group_algebra_arithmetic():
     assert ga.element(5) == (1, 0, 0, 0)
     with pytest.raises(LengthMismatch):
         ga.element((1, 0))
+    with pytest.raises(OutOfRange, match="no field decomposition"):
+        ga.project(t)
 
 
 def test_group_algebra_projection_is_ring_morphism():

@@ -9,6 +9,7 @@ from period_lab.errors import (
     InsufficientPrefix,
     LengthMismatch,
     NonUnitCoefficient,
+    OutOfRange,
     walk_back,
 )
 from period_lab.ff import make_field
@@ -85,6 +86,8 @@ def test_recurrence_unit_constraint():
     with pytest.raises(NonUnitCoefficient):
         Recurrence(F5, (0, 1))
     Recurrence(F5, (5 + 2, 0))  # coefficients reduce first
+    with pytest.raises(OutOfRange, match="degree must be >= 1"):
+        Recurrence(F5, ())
 
 
 def test_period_bruteforce_references():
@@ -251,6 +254,8 @@ def test_minimal_poly_errors():
     # a prefix needing degree 2 under a bound of 1
     with pytest.raises(InsufficientPrefix):
         minimal_poly(F2, [0, 1, 1, 0], 1)
+    with pytest.raises(OutOfRange, match="degree bound must be >= 0"):
+        minimal_poly(F2, [], -1)
 
 
 def test_minimal_poly_divides_char_poly():

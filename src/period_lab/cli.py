@@ -43,7 +43,13 @@ from .rings import (
     make_product_ring,
     ring_period_sets,
 )
-from .sequences import Recurrence, generate, minimal_poly, period_bruteforce
+from .sequences import (
+    Recurrence,
+    _canonical_state,
+    generate,
+    minimal_poly,
+    period_bruteforce,
+)
 from .verify import SCOPES, run_verify
 
 SCHEMA = "period-lab/1"
@@ -109,6 +115,8 @@ def _run_ord(args) -> int:
         field = parse_field_spec(args.field)
         f = parse_poly(field, args.poly)
         _at_least(args.budget, 1, "--budget")
+        if f.is_zero:
+            raise UsageError("--poly must be a nonzero polynomial")
     payload = {"schema": SCHEMA, "command": "ord",
                "field": field.spec(), "poly": format_poly(f),
                "method": args.method}
@@ -161,6 +169,7 @@ def _run_simulate(args) -> int:
         _at_least(args.terms, 0, "--terms")
         rec = Recurrence(field, coeffs)
         _at_least(args.budget, 1, "--budget")
+        init = _canonical_state(rec, init)
     # state i of the trajectory is (a_i, ..., a_{i+k-1})
     n_states = max(args.terms, 1)
     seq = generate(rec, init, max(args.terms, n_states + rec.k - 1))
@@ -278,6 +287,7 @@ def _run_ring_period(args) -> int:
         coeffs = _elements(ring, args.rec)
         init = _elements(ring, args.init)
         rec = Recurrence(ring, coeffs)
+        init = _canonical_state(rec, init)
     cpers = component_periods(rec, init)
     period = lcm64(*cpers)
     payload = {

@@ -3,18 +3,36 @@ union lower bound, exact closed forms for degrees 1-4, an exact route for
 every degree built from the orders of irreducible factors, and a
 brute-force order-set enumeration that oracles them.
 
-Degree k over F_q realizes exactly the orders of degree-k polynomials,
-so the brute-force route enumerates monic polynomials only (orders are
-invariant under nonzero scalar multiples), in one serial pass: it is an
-oracle for small (q, k), and the exact route answers everything else.
+Degree k over F_q realizes exactly the orders of degree-k polynomials.
+Orders are invariant under nonzero scalar multiples, and x^r * h has the
+order of h, so this is the set of orders of the monic h of degree <= k
+with h(0) != 0.  The brute-force route reaches each such h once, in one
+serial pass over the monic polynomials of degree 1..k: an irreducible is
+one that no product built so far has marked, and its order of x is
+computed; every other h is built once as a product whose order follows
+from its factors' (Lidl & Niederreiter, Thm 3.8).  It is an oracle for
+small (q, k), and the exact route answers everything else.
+
+The two routes stay independent.  The exact route never finds an
+irreducible: it takes the orders of the degree-d irreducibles to be the
+e with ord_e(q) = d, a counting theorem.  The brute-force route uses no
+such count: it finds actual irreducible polynomials and computes the
+order of x modulo each one.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import islice, repeat
 
-from .errors import BudgetExceeded, DegreeOutOfRange, OutOfRange, Record, default_budget
+from .errors import (
+    BudgetExceeded,
+    DegreeOutOfRange,
+    LimitExceeded,
+    OutOfRange,
+    Record,
+    default_budget,
+)
 from .ff import FieldCtx
 from .intfactor import (
     INT64_MAX,
@@ -24,8 +42,8 @@ from .intfactor import (
     factor_integer,
     split_prime_power,
 )
-from .orders import _char_boost, poly_order
-from .poly import monic_polys
+from .orders import _char_boost, _irreducible_order
+from .poly import _rmul, monic_polys
 
 
 class PeriodSet(Record):
@@ -234,18 +252,72 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
 
 def order_set_bruteforce(field: FieldCtx, k: int, *,
                          budget: int | None = None) -> PeriodSet:
-    """{ord(f) : f monic of degree k over the field}, by one serial pass
-    over the monic polynomials.
+    """{ord(f) : f monic of degree k over the field}, by one pass that
+    reaches every monic polynomial of degree <= k with a nonzero constant
+    term exactly once.
+
+    Degree by degree, d = 1..k, the pass walks monic_polys, whose i-th
+    polynomial has the base-q index i, and marks every product it builds
+    in a bytearray by that index.  So an unmarked polynomial of degree d
+    with g(0) != 0 is irreducible, and its order of x is computed.  Each
+    stored product u is then extended by g to u * g^j, of order
+    lcm(L_u, ord g) * p^t: L_u is the lcm of the orders of u's factors,
+    and p^t the least power of p >= the top multiplicity (Lidl &
+    Niederreiter, Thm 3.8).
+
+    Each polynomial is reached once, by unique factorization: with its
+    irreducible factors in walk order (by degree, then index), it is
+    built only from the product u of all its factors but the last, g,
+    when the pass meets g.  u is stored by then, since its factors all
+    come before g, and the bucket sizes are taken before g extends any of
+    them, so no u * g^j meets g again.  A polynomial reached twice is a
+    bug (LimitExceeded).  A product of degree above k - d is not stored,
+    since every later irreducible has degree >= d.
 
     Exact oracle for the closed forms, the exact route and the lower
-    bound.  Work is capped at `budget` polynomials (default 10^6, or
-    PERIOD_LAB_BUDGET).
+    bound.  Work is capped at `budget` polynomials of degree k (default
+    10^6, or PERIOD_LAB_BUDGET), checked before any work.
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")
     if budget is None:
         budget = default_budget()
-    total = field.q ** k
+    q = field.q
+    total = q ** k
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed the budget {budget}")
-    return PeriodSet.of(poly_order(f).order for f in monic_polys(field, k))
+    boost = [_char_boost(field.p, m)[1] for m in range(k + 1)]
+    marks = [None] + [bytearray(q ** d) for d in range(1, k + 1)]
+    # stored[a]: the products of degree a that a later irreducible can
+    # extend, as (coefficients, lcm of the factors' orders, top multiplicity)
+    stored = [[((1,), 1, 0)]] + [[] for _ in range(k - 1)]
+    orders = {1}
+    for d in range(1, k + 1):
+        keep = k - d  # stored holds degrees 0..keep
+        row = marks[d]
+        for i, f in enumerate(monic_polys(field, d)):
+            if row[i] or not i % q:  # a product, or divisible by x
+                continue
+            g = f.coeffs
+            e = _irreducible_order(field, g)
+            for a, n in enumerate([len(bucket) for bucket in stored]):
+                for u, lcm_u, top in islice(stored[a], n):
+                    lcm_w = math.lcm(lcm_u, e)
+                    w, deg, j = u, a + d, 1
+                    while deg <= k:
+                        w = _rmul(field, w, g)
+                        index = 0
+                        for c in w[-2::-1]:
+                            index = index * q + c
+                        if marks[deg][index]:
+                            raise LimitExceeded(f"product {w} reached twice (bug?)")
+                        marks[deg][index] = 1
+                        m = max(top, j)
+                        orders.add(lcm_w * boost[m])
+                        if deg <= keep:
+                            stored[deg].append((w, lcm_w, m))
+                        deg += d
+                        j += 1
+        marks[d] = None
+        del stored[keep:]
+    return PeriodSet.of(orders)

@@ -32,6 +32,8 @@ CASES = (
     "ord --field 2^2 --poly x^2+x+[0,1] --method both",
     "ord --field 6 --poly x",
     "ord --field 2 --poly x^^2",
+    # the zero polynomial has no order: a usage error, in the option's words
+    "ord --field 2 --poly 0",
     # an irreducible degree-64 factor is past the 64-bit limit
     "ord --field 2 --poly x^64+x^4+x^3+x+1",
     # degree 40: the walk of powers of x stops at the budget, not after 2^40 steps
@@ -46,6 +48,8 @@ CASES = (
     "simulate --field 3 --rec 1,0,2 --init 0,0,1 --terms 7 --trajectory",
     "simulate --field 5 --rec 0,1 --init 0,1 --terms 3",
     "simulate --field 5 --rec 1,1 --init 0,1 --terms -1",
+    # an initial state of the wrong length is a usage error
+    "simulate --field 5 --rec 1,1 --init 1 --terms 3",
     # degree 40: the state walk stops at the budget, not after 2^40 steps
     "simulate --field 2 --rec 1," + "0," * 38 + "1 --init " + "0," * 39 + "1"
     " --terms 3 --period --budget 1000",
@@ -79,6 +83,7 @@ CASES = (
     "ring period --components 2,5 --rec 0|1,1 --init 0|0,1|1",
     # a one-part element of a ring with several components must be an integer
     "ring period --components 2,3 --rec 1|1,x --init 0|0,1|1",
+    "ring period --components 2,3 --rec 1|1,1 --init 1",
     "algebra --p 2 --n 5 --max-period",
     "algebra --p 2 --n 5 --max-period --degree 5",
     "algebra --p 2 --n 4 --max-period",

@@ -1,13 +1,16 @@
 import pytest
 
+from period_lab import period_sets
 from period_lab.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
+    LimitExceeded,
     NotPrimePower,
     OutOfRange,
 )
 from period_lab.ff import make_field
 from period_lab.intfactor import factor_integer, split_prime_power
+from period_lab.orders import poly_order
 from period_lab.period_sets import (
     PeriodSet,
     divisors,
@@ -19,6 +22,7 @@ from period_lab.period_sets import (
     set_scale,
     set_union,
 )
+from period_lab.poly import is_irreducible, monic_polys, parse_poly
 
 
 def test_divisors():
@@ -98,12 +102,83 @@ def test_order_set_bruteforce_references():
     assert order_set_bruteforce(F2, 1) == {1}
     assert order_set_bruteforce(F2, 4) == {1, 2, 3, 4, 5, 6, 7, 15}
     assert 21 in order_set_bruteforce(F2, 5)
+    # a repeated factor g^b multiplies ord(g) by the least p^t >= b:
+    # 4 comes only from (x+1)^3 over F_2, 6 only from (x+1)^2 over F_3
+    F3 = make_field(3)
+    assert poly_order(parse_poly(F2, "x^3+x^2+x+1")).order == 4
+    assert 4 in order_set_bruteforce(F2, 3)
+    assert poly_order(parse_poly(F3, "x^2+2*x+1")).order == 6
+    assert 6 in order_set_bruteforce(F3, 2)
     with pytest.raises(BudgetExceeded):
         order_set_bruteforce(F2, 30)
     with pytest.raises(BudgetExceeded):
         order_set_bruteforce(F2, 4, budget=10)
     with pytest.raises(OutOfRange):
         order_set_bruteforce(F2, 0)
+
+
+def _per_polynomial_orders(field, k):
+    # the oracle: the factorization pipeline on every monic polynomial
+    return {poly_order(f).order for f in monic_polys(field, k)}
+
+
+def test_order_set_bruteforce_matches_per_polynomial_orders():
+    cases = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        field = make_field(*split_prime_power(q))
+        k = 1
+        while q ** k <= 4096:
+            assert order_set_bruteforce(field, k) == _per_polynomial_orders(field, k), (q, k)
+            cases += 1
+            k += 1
+    assert cases == 50
+    # another model of F_9
+    alt = make_field(3, 2, (2, 1, 1))
+    for k in (1, 2, 3):
+        assert order_set_bruteforce(alt, k) == _per_polynomial_orders(alt, k), k
+
+
+def test_order_set_bruteforce_orders_exactly_the_irreducibles(monkeypatch):
+    # each product is marked, so only the irreducibles (x aside) reach the
+    # order of x, each once; a product not marked would reach it too
+    order_of_x = period_sets._irreducible_order
+    for q, k in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        field = make_field(*split_prime_power(q))
+        seen = []
+
+        def spy(field, coeffs):
+            seen.append(coeffs)
+            return order_of_x(field, coeffs)
+
+        monkeypatch.setattr("period_lab.period_sets._irreducible_order", spy)
+        order_set_bruteforce(field, k)
+        expected = [f.coeffs for d in range(1, k + 1) for f in monic_polys(field, d)
+                    if f.constant_term and is_irreducible(f)]
+        assert seen == expected, (q, k)
+
+
+def test_order_set_bruteforce_factors_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored or tested a polynomial")
+
+    for name in ("poly.factor", "poly.is_irreducible", "orders.factor",
+                 "orders.is_irreducible", "orders.poly_order"):
+        monkeypatch.setattr(f"period_lab.{name}", refuse)
+    assert order_set_bruteforce(make_field(2), 6) == period_set_exact(6, 2)
+
+
+def test_order_set_bruteforce_refuses_a_polynomial_reached_twice(monkeypatch):
+    # an enumeration that yields x + 1 in place of x + 2 over F_3 meets the
+    # irreducible x + 1 twice, so it builds x + 1 a second time
+    walk = period_sets.monic_polys
+
+    def repeating(field, degree):
+        for f in walk(field, degree):
+            yield parse_poly(field, "x+1") if f.coeffs == (2, 1) else f
+
+    monkeypatch.setattr("period_lab.period_sets.monic_polys", repeating)
+    with pytest.raises(LimitExceeded, match=r"reached twice \(bug\?\)$"):
+        order_set_bruteforce(make_field(3), 2)
 
 
 def test_budget_env_override(monkeypatch):

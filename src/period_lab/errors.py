@@ -136,9 +136,7 @@ class Record:
     passes their values to `Record.__init__` in that order.  Records of one
     class compare and hash by their fields, print as `Name(field=value,
     ...)`, pickle and copy through `__init__`, and raise AttributeError on
-    assignment, as frozen dataclasses do.  A mutable subclass restores
-    object.__setattr__ and sets __hash__ = None, as a dataclass that is not
-    frozen has.
+    assignment, as frozen dataclasses do.
     """
 
     __slots__ = ()

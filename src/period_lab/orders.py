@@ -10,11 +10,13 @@ factorization, so the two routes check each other.
 The order of an irreducible g of degree d over F_q = F_{p^e} is the
 multiplicative order of any root a of g in F_{q^d}^* (Lidl & Niederreiter,
 Thm 3.3), so it is the same number over every field that holds the
-coefficients of a's minimal polynomial.  _order_of_x therefore computes
-it over F_p, on the minimal polynomial of a over F_p (the product of the
-conjugates of g under c -> c^p), where the packed prime-field kernels run.
-Every product here runs on a kernel of poly._kernel; this module reads no
-field tables.
+coefficients of a's minimal polynomial.  _irreducible_order is where F_p
+takes over: over an extension field it replaces g by the minimal
+polynomial M of a over F_p (the product of the conjugates of g under
+c -> c^p), and it caches the order of x modulo M under (p, M), so the
+conjugates of g share one entry.  _order_of_x computes that order over
+F_p, on the packed prime-field kernels.  Every product here runs on a
+kernel of poly._kernel; this module reads no field tables.
 """
 
 from __future__ import annotations
@@ -77,13 +79,21 @@ def _power_kernel(field, n):
 
 
 def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
-    """The minimal polynomial over F_p of a root of the monic irreducible
-    `coeffs` over field = F_{p^e}: the product of its distinct conjugates
-    under c -> c^p (see _order_of_x), with coefficients in F_p, whose
-    elements encode as their residues.  sigma is F.pow, and the products
-    run on the field's kernel modulo x^N, N = e*d + 1: no partial product
-    reaches degree N, so none is reduced, and the kernel is cached per
-    (field, N) by _power_kernel."""
+    """The minimal polynomial M over F_p of a root a of the monic
+    irreducible g = `coeffs` of degree d over field = F_q, q = p^e > p.
+
+    M is the product of the conjugates g, sigma(g), ..., sigma^(s-1)(g),
+    where sigma(c) = c^p on the coefficients and s is the least s >= 1 with
+    sigma^s(g) = g: the orbit closes after s | e steps, once sigma^s fixes
+    every coefficient, that is when the coefficients lie in F_{p^s}.
+    sigma^i(g) is the minimal polynomial over F_q of a^(p^i), so each
+    divides M; the s of them are distinct monic irreducibles, so their
+    product P divides M.  P is fixed by sigma, so P lies in F_p[x], and
+    P(a) = 0, so M divides P.  Hence M = P, of degree s*d, with
+    coefficients in F_p, whose elements encode as their residues.  sigma
+    is F.pow, and the products run on the field's kernel modulo x^N,
+    N = e*d + 1: no partial product reaches degree N, so none is reduced,
+    and the kernel is cached per (field, N) by _power_kernel."""
     p, powf = field.p, field.pow
     mul = _power_kernel(field, field.e * (len(coeffs) - 1) + 1).mulmod
     out = conj = coeffs
@@ -95,42 +105,35 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
 
 
 def _order_of_x(field, coeffs: tuple) -> int:
-    """Order of x modulo the monic irreducible `coeffs` of degree d.
-
-    Over F_p it is found on the kernel of the modulus, from the factored
-    multiple p^d - 1.  Over F_q with q = p^e, e > 1, it is the order of a
-    root a of g in F_{q^d}^* (Lidl & Niederreiter, Thm 3.3), so it is the
-    order of x modulo the minimal polynomial M of a over F_p, found there.
-    M is the product of the conjugates g, sigma(g), ..., sigma^(s-1)(g),
-    where sigma(c) = c^p on the coefficients and s is the least s >= 1 with
-    sigma^s(g) = g: the orbit closes after s | e steps, once sigma^s fixes
-    every coefficient, that is when the coefficients lie in F_{p^s}.
-    sigma^i(g) is the minimal polynomial over F_q of a^(p^i), so each
-    divides M; the s of them are distinct monic irreducibles, so their
-    product P divides M.  P is fixed by sigma, so P lies in F_p[x], and
-    P(a) = 0, so M divides P.  Hence M = P, of degree s*d, and the
-    multiple is p^(s*d) - 1, a divisor of q^d - 1.  The 64-bit ceiling is
-    checked first on the caller's (d, q)."""
-    d = len(coeffs) - 1
-    _check_ceiling(d, field.q)
-    if field.e > 1:
-        return _order_of_x(FieldCtx(field.p, 1, None),  # F_p; p is checked
-                           _prime_field_minimal_poly(field, coeffs))
+    """Order of x modulo the monic irreducible `coeffs` of degree d over
+    the prime field `field`, found on the kernel of the modulus from the
+    factored multiple p^d - 1."""
     k = _kernel(field, coeffs)
     one = k.one
-    return order_from_multiple(factor_integer(field.q ** d - 1),
+    return order_from_multiple(factor_integer(field.q ** (len(coeffs) - 1) - 1),
                                k.pack((0, 1)),  # x reduced: a constant when d = 1
                                k.power, lambda y: y == one)
 
 
 @lru_cache(maxsize=1 << 14)
-def _order_by_key(field, key) -> int:
-    return _order_of_x(field, tuple(key))
+def _order_by_key(p: int, key) -> int:
+    # F_p is built on a miss only; the cache keeps no field alive
+    return _order_of_x(FieldCtx(p, 1, None), tuple(key))  # p is checked
 
 
 def _irreducible_order(field, coeffs: tuple) -> int:
-    # a compact key: the bytes of the coefficients when q <= 256
-    return _order_by_key(field, bytes(coeffs) if field.q <= 256 else coeffs)
+    """Order of x modulo the monic irreducible `coeffs` over field = F_q.
+
+    The 64-bit ceiling is checked first, on the caller's (d, q).  Over an
+    extension field the modulus becomes its minimal polynomial M over F_p
+    (_prime_field_minimal_poly), of degree s*d with p^(s*d) - 1 dividing
+    q^d - 1; over F_p, M is g.  The order is cached under (p, M), with M
+    as bytes when p <= 256, so the s conjugates of g share one entry."""
+    _check_ceiling(len(coeffs) - 1, field.q)
+    if field.e > 1:
+        coeffs = _prime_field_minimal_poly(field, coeffs)
+    p = field.p
+    return _order_by_key(p, bytes(coeffs) if p <= 256 else coeffs)
 
 
 def irreducible_order(g: Poly) -> int:
@@ -150,13 +153,6 @@ def _char_boost(p: int, multiplicity: int) -> tuple[int, int]:
         pt *= p
         t += 1
     return t, pt
-
-
-def prime_power_order(g: Poly, b: int) -> int:
-    """Order of g^b for monic irreducible g: ord(g) * p^t with p^t >= b."""
-    e = irreducible_order(g)
-    _, pt = _char_boost(g.field.p, b)
-    return e * pt
 
 
 def poly_order(f: Poly) -> OrderResult:

@@ -231,7 +231,7 @@ class GroupAlgebra:
     """F_p[t]/<t^n - 1>; elements are length-n coefficient tuples."""
 
     __slots__ = ("p", "n", "base", "factors", "semisimple", "decomposition",
-                 "component_moduli", "size", "zero", "one", "_circulant")
+                 "size", "zero", "one", "_circulant")
 
     def __init__(self, p: int, n: int):
         if n < 2:
@@ -252,10 +252,8 @@ class GroupAlgebra:
                 d = f.degree
                 fields.append(make_field(p, d, f.coeffs) if d > 1 else make_field(p))
             self.decomposition = ProductRing(fields)
-            self.component_moduli = tuple(f for f, _ in self.factors)
         else:
             self.decomposition = None
-            self.component_moduli = ()
 
     # ring context protocol -------------------------------------------------
 
@@ -310,7 +308,7 @@ class GroupAlgebra:
         apoly = self.to_poly(a)
         return tuple(comp.from_coeffs((apoly % modulus).coeffs)
                      for comp, modulus in zip(self.decomposition.components,
-                                              self.component_moduli))
+                                              (f for f, _ in self.factors)))
 
     def project_recurrence(self, rec: Recurrence) -> Recurrence:
         return Recurrence(self.decomposition,

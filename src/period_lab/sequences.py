@@ -225,21 +225,18 @@ def minimal_poly(field: FieldCtx, prefix, degree_bound: int) -> Poly:
 class SequenceRun(Record):
     """A recurrence with a fixed initial state; caches the measured period."""
 
-    # mutable and so unhashable, like a dataclass that is not frozen
-    _fields = ("recurrence", "initial", "_period")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    _fields = ("recurrence", "initial")
 
-    def __init__(self, recurrence: Recurrence, initial: tuple,
-                 _period: int | None = None):
-        Record.__init__(self, recurrence, _canonical_state(recurrence, initial), _period)
+    def __init__(self, recurrence: Recurrence, initial: tuple):
+        Record.__init__(self, recurrence, _canonical_state(recurrence, initial))
 
     def prefix(self, count: int) -> list:
         return generate(self.recurrence, self.initial, count)
 
     @property
     def period(self) -> int:
-        if self._period is None:
-            self._period = period_bruteforce(self.recurrence, self.initial)
-        return self._period
+        # the walk is cached in the instance dict, which is not a field
+        cache = self.__dict__
+        if "_period" not in cache:
+            cache["_period"] = period_bruteforce(self.recurrence, self.initial)
+        return cache["_period"]

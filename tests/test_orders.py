@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from period_lab import orders
 from period_lab.errors import (
     BudgetExceeded,
     OutOfRange,
@@ -19,9 +20,9 @@ from period_lab.orders import (
     irreducible_order,
     poly_order,
     poly_order_bruteforce,
-    prime_power_order,
     strip_x_power,
 )
+from period_lab.period_sets import order_set_bruteforce, period_set_closed_form
 from period_lab.poly import Poly, factor, is_irreducible, monic_polys, parse_poly, powmod
 
 F2 = make_field(2)
@@ -88,21 +89,85 @@ def test_caches_are_bounded():
 
 
 def test_irreducible_order_cache_keys():
-    """The order cache keys a modulus by its bytes (q <= 256) or by its
-    coefficient tuple (here F_4096 and F_1048573), and a cached answer is
-    the uncached one, also for moduli with a zero middle coefficient."""
+    """The order cache keys the minimal polynomial M over F_p of a root by
+    its bytes (p <= 256, here F_5, F_256 and F_4096) or by its coefficient
+    tuple (F_1048573), and a cached answer is the uncached one, also for
+    moduli with a zero middle coefficient.  Conjugates share M, so each
+    field takes three moduli with distinct M."""
     rng = random.Random(4)
     _order_by_key.cache_clear()
     for F in (F5, make_field(2, 8), make_field(2, 12), make_field(1048573)):
-        found = set()
+        Fp, found = make_field(F.p), set()
         while len(found) < 3:
             g = Poly(F, [rng.randrange(1, F.q), 0, rng.randrange(F.q), 1])
-            if g.coeffs not in found and is_irreducible(g):
-                found.add(g.coeffs)
-                want = _order_of_x(F, g.coeffs)
+            if not is_irreducible(g):
+                continue
+            m = orders._prime_field_minimal_poly(F, g.coeffs) if F.e > 1 else g.coeffs
+            if m not in found:
+                found.add(m)
+                want = _order_of_x(Fp, m)
                 assert _irreducible_order(F, g.coeffs) == want  # a miss
                 assert _irreducible_order(F, g.coeffs) == want  # a hit
-    assert _order_by_key.cache_info().hits == 12
+    info = _order_by_key.cache_info()
+    assert (info.hits, info.misses) == (12, 12)
+
+
+def conjugates(g):
+    """The distinct conjugates of g under c -> c^p, g first."""
+    F, out = g.field, [g]
+    while True:
+        h = Poly(F, [F.pow(c, F.p) for c in out[-1].coeffs])
+        if h == g:
+            return out
+        out.append(h)
+
+
+# (e, d): irreducibles of degree d over F_{2^e} with a coefficient outside F_2
+@pytest.mark.parametrize("e,d", [(2, 1), (2, 3), (2, 6), (4, 2), (4, 3), (12, 1), (12, 2)])
+def test_irreducible_conjugates_share_one_order(e, d):
+    """The s conjugates of g have one minimal polynomial over F_2, so the
+    first takes one _order_by_key miss and the other s - 1 hit its entry;
+    where q^d <= 2^12 the walk over F_q gives each the same order."""
+    F = make_field(2, e)
+    rng = random.Random(F.q ** d)
+    for _ in range(3):
+        while True:
+            g = Poly(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
+            if max(g.coeffs) > 1 and is_irreducible(g):
+                break
+        conj = conjugates(g)
+        assert len(conj) > 1 and e % len(conj) == 0
+        assert len(set(conj)) == len(conj) and all(is_irreducible(h) for h in conj)
+        _order_by_key.cache_clear()
+        found = [_irreducible_order(F, h.coeffs) for h in conj]
+        info = _order_by_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(conj) - 1, 1)
+        assert found == [found[0]] * len(conj)
+        if F.q ** d <= 2 ** 12:
+            assert [poly_order_bruteforce(h) for h in conj] == found
+
+
+def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
+    """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
+    have 381 minimal polynomials over F_2, and order_set_bruteforce finds
+    the order of x once for each; the cache is keyed on the int p."""
+    order_of_x, order_by_key = orders._order_of_x, orders._order_by_key
+    seen, primes = [], set()
+
+    def spy_order(field, coeffs):
+        seen.append(coeffs)
+        return order_of_x(field, coeffs)
+
+    def spy_key(p, key):
+        primes.add(type(p))
+        return order_by_key(p, key)
+
+    monkeypatch.setattr(orders, "_order_of_x", spy_order)
+    monkeypatch.setattr(orders, "_order_by_key", spy_key)
+    order_by_key.cache_clear()
+    assert order_set_bruteforce(make_field(2, 4), 3) == period_set_closed_form(3, 16)
+    assert len(seen) == len(set(seen)) == 381
+    assert primes == {int}
 
 
 def test_irreducible_order_divides_group_order():
@@ -116,20 +181,16 @@ def test_irreducible_order_divides_group_order():
                 assert order_by_definition(g, e) == e
 
 
-def test_prime_power_order():
-    # repeated root 3 of order 4 over F_5, squared: boost by p once
-    assert prime_power_order(parse_poly(F5, "x-3"), 2) == 20
-    assert prime_power_order(parse_poly(F2, "x^2+x+1"), 1) == 3
-    # derived oracle: (x+1)^3 divides x^4-1 over F_2 but no smaller x^n-1
-    cube = parse_poly(F2, "x+1") ** 3
-    assert order_by_definition(cube, 16) == 4
-    assert prime_power_order(parse_poly(F2, "x+1"), 3) == 4
-
-
 def test_poly_order_references():
     assert poly_order(parse_poly(F2, "x^5+x^4+1")).order == 21
     assert poly_order(parse_poly(F5, "x^2-x-1")).order == 20
     assert poly_order(parse_poly(F2, "x^2+x+1")).order == 3
+    # repeated root 3 of order 4 over F_5, squared: boost by p once
+    assert poly_order(parse_poly(F5, "x-3") ** 2).order == 20
+    # derived oracle: (x+1)^3 divides x^4-1 over F_2 but no smaller x^n-1
+    cube = parse_poly(F2, "x+1") ** 3
+    assert order_by_definition(cube, 16) == 4
+    assert poly_order(cube).order == 4
     assert poly_order(Poly.constant(F5, 4)) == poly_order(Poly.constant(F5, 4))
     assert poly_order(Poly.constant(F5, 4)).order == 1
     with pytest.raises(ZeroPolynomial):
@@ -253,9 +314,9 @@ def test_irreducible_order_matches_bruteforce(p, e, t):
                 found += 1
                 parts = factor(Poly(F, [embed(c) for c in h.coeffs]))
                 assert [(g.degree, m) for g, m in parts] == [(D // split, 1)] * split, h
-                want = _order_of_x(G, h.coeffs)
+                want = _irreducible_order(G, h.coeffs)
                 for g, _ in parts:
-                    assert _order_of_x(F, g.coeffs) == want, g
+                    assert _irreducible_order(F, g.coeffs) == want, g
                     assert poly_order_bruteforce(g) == want, g
                     if g.degree == 1:
                         assert F.multiplicative_order(F.neg(g.coeffs[0])) == want, g
@@ -278,7 +339,7 @@ def test_irreducible_order_jump_ahead(p, e, d):
         if not is_irreducible(g):
             continue
         found += 1
-        n = _order_of_x(F, g.coeffs)
+        n = _irreducible_order(F, g.coeffs)
         assert (F.q ** d - 1) % n == 0
         assert powmod(x, n, g) == one
         for r, _ in factor_integer(n):

@@ -57,7 +57,7 @@ REPRS = {
     "PeriodSet": "PeriodSet([1, 3, 7])",
     "Recurrence": "Recurrence(FieldCtx('2^2/x^2+x+1'), (2, 1))",
     "SequenceRun": "SequenceRun(recurrence=Recurrence(FieldCtx('5'), (1, 1)), "
-                   "initial=(0, 1), _period=None)",
+                   "initial=(0, 1))",
     "CheckResult": "CheckResult(name='n', scope='orders', claim='c', expected='[1, 2]', "
                    "computed=\"{1: 'a'}\", passed=False, elapsed_ms=0.25)",
     "VerifyReport": "VerifyReport(checks=(CheckResult(name='n', scope='orders', claim='c', "
@@ -66,8 +66,8 @@ REPRS = {
 }
 # each frozen record's first field
 FROZEN = {"FactorContribution": "factor", "OrderResult": "order", "Factorization": "unit",
-          "PeriodSet": "values", "Recurrence": "ctx", "CheckResult": "name",
-          "VerifyReport": "checks"}
+          "PeriodSet": "values", "Recurrence": "ctx", "SequenceRun": "recurrence",
+          "CheckResult": "name", "VerifyReport": "checks"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -106,15 +106,23 @@ def test_frozen_records_hash_by_fields_and_refuse_assignment(name):
     assert getattr(a, field) == before
 
 
-def test_sequence_run_is_mutable_and_unhashable():
-    run = RECORDS["SequenceRun"][0]()
+def test_sequence_run_period_is_not_a_field():
+    """A run that has read its period stays equal to, and hashes as, one
+    that has not; its fields refuse assignment, so the cached period cannot
+    disagree with them; and the period cannot be passed in."""
+    build = RECORDS["SequenceRun"][0]
+    run, fresh = build(), build()
+    assert run.period == 20 and run.period == 20
+    assert run == fresh and hash(run) == hash(fresh)
+    assert repr(run) == repr(fresh) == REPRS["SequenceRun"]
+    with pytest.raises(AttributeError):
+        run.initial = (0, 0)
+    with pytest.raises(AttributeError):
+        run.period = 1
+    assert run.initial == (0, 1) and run.period == 20
+    assert SequenceRun(Recurrence(F5, (1, 1)), (0, 0)).period == 1
     with pytest.raises(TypeError):
-        hash(run)
-    assert run.period == 20
-    assert repr(run).endswith("_period=20)")
-    assert run != RECORDS["SequenceRun"][0]()  # the cached period is a field
-    run.initial = (1, 1)
-    assert run.initial == (1, 1)
+        SequenceRun(Recurrence(F5, (1, 1)), (0, 1), 5)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -132,10 +140,11 @@ def test_period_set_membership_survives_pickling():
     assert clone == {1, 3, 7} and clone == [7, 3, 1]
 
 
-def test_sequence_run_pickles_its_cached_period():
+def test_pickled_sequence_run_answers_the_same_period():
     run = RECORDS["SequenceRun"][0]()
-    run.period
-    assert pickle.loads(pickle.dumps(run))._period == 20
+    assert run.period == 20
+    clone = pickle.loads(pickle.dumps(run))
+    assert clone == run and clone.period == 20
 
 
 def test_record_refuses_a_value_count_other_than_its_fields():

@@ -273,7 +273,7 @@ def test_group_algebra_semisimple_decomposition():
     assert ga.semisimple
     assert [c.q for c in ga.decomposition.components] == [2, 16]
     # the quartic component modulus is the full cyclotomic factor
-    quartic = ga.component_moduli[1]
+    quartic = ga.factors.factors[1][0]
     assert quartic == parse_poly(make_field(2), "t^4+t^3+t^2+t+1")
     assert is_irreducible(quartic)
 

@@ -115,10 +115,15 @@ def _order_of_x(field, coeffs: tuple) -> int:
                                k.power, lambda y: y == one)
 
 
+@lru_cache(maxsize=4)
+def _prime_field(p: int) -> FieldCtx:
+    # one F_p per recent p, not one per miss: the order cache keeps no field
+    return FieldCtx(p, 1, None)  # p is checked
+
+
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(p: int, key) -> int:
-    # F_p is built on a miss only; the cache keeps no field alive
-    return _order_of_x(FieldCtx(p, 1, None), tuple(key))  # p is checked
+    return _order_of_x(_prime_field(p), tuple(key))
 
 
 def _irreducible_order(field, coeffs: tuple) -> int:

@@ -11,7 +11,7 @@ from period_lab.errors import (
     ZeroPolynomial,
 )
 from period_lab.ff import _square_multiply, make_field
-from period_lab.orders import _irreducible_order, _order_by_key, poly_order
+from period_lab.orders import _irreducible_order, _order_by_key, _order_of_x, poly_order
 from period_lab.poly import (
     Factorization,
     Poly,
@@ -197,9 +197,9 @@ def test_extension_powmod_matches_reference(field, degrees):
 
 def test_prime_field_powmod_makes_no_field_callbacks():
     """F_2, the other prime fields and the table fields F_16 and F_9 run
-    _rpowmod and the order of x without the field's element operations;
-    over F_16 and F_9 the order runs uncached, on the minimal polynomial
-    over F_p that _irreducible_order takes."""
+    _rpowmod without the field's element operations, and so does the order
+    of x over F_2 and F_7; over F_16 and F_9 the order runs uncached, on the
+    minimal polynomial over F_p that _irreducible_order takes."""
     def refuse(*args):
         raise AssertionError("table powmod called a field operation")
 
@@ -212,7 +212,7 @@ def test_prime_field_powmod_makes_no_field_callbacks():
         plain, F = make_field(p, e), make_field(p, e)
         F.mul = F.add = F.sub = F.neg = F.inv = refuse
         _order_by_key.cache_clear()
-        assert _irreducible_order(F, mod) == order
+        assert (_order_of_x if e == 1 else _irreducible_order)(F, mod) == order
         lead = F.q - 1  # a non-monic modulus: mod times the element q - 1
         scaled = tuple(plain.mul(c, lead) for c in mod)
         base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1

@@ -13,10 +13,10 @@ Thm 3.3), so it is the same number over every field that holds the
 coefficients of a's minimal polynomial.  _irreducible_order is where F_p
 takes over: over an extension field it replaces g by the minimal
 polynomial M of a over F_p (the product of the conjugates of g under
-c -> c^p), and it caches the order of x modulo M under (p, M), so the
-conjugates of g share one entry.  _order_of_x computes that order over
-F_p, on the packed prime-field kernels.  Every product here runs on a
-kernel of poly._kernel; this module reads no field tables.
+c -> c^p), and _order_by_key computes and caches the order of x modulo M
+under (p, M) on the packed prime-field kernel of M, so the conjugates of
+g share one entry.  Every product here runs on a kernel of poly._kernel,
+built for the one modulus it serves; this module reads no field tables.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ def strip_x_power(f: Poly) -> tuple[int, Poly]:
     return r, _mk(f.field, f.coeffs[r:])
 
 
-@lru_cache(maxsize=128)
-def _power_kernel(field, n):
-    """The kernel of x^n over field, cached apart from poly._kernel's LRU,
-    through which the factoring kernels would cycle it between uses."""
-    return _kernel.__wrapped__(field, (0,) * n + (1,))
-
-
 def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
     """The minimal polynomial M over F_p of a root a of the monic
     irreducible g = `coeffs` of degree d over field = F_q, q = p^e > p.
@@ -92,27 +85,17 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
     P(a) = 0, so M divides P.  Hence M = P, of degree s*d, with
     coefficients in F_p, whose elements encode as their residues.  sigma
     is F.pow, and the products run on the field's kernel modulo x^N,
-    N = e*d + 1: no partial product reaches degree N, so none is reduced,
-    and the kernel is cached per (field, N) by _power_kernel."""
+    N = e*d + 1, built once per call: no partial product reaches degree
+    N, so none is reduced."""
     p, powf = field.p, field.pow
-    mul = _power_kernel(field, field.e * (len(coeffs) - 1) + 1).mulmod
+    n = field.e * (len(coeffs) - 1) + 1
+    mul = _kernel(field, (0,) * n + (1,)).mulmod
     out = conj = coeffs
     while True:
         conj = tuple(powf(c, p) for c in conj)
         if conj == coeffs:
             return out
         out = mul(out, conj)
-
-
-def _order_of_x(field, coeffs: tuple) -> int:
-    """Order of x modulo the monic irreducible `coeffs` of degree d over
-    the prime field `field`, found on the kernel of the modulus from the
-    factored multiple p^d - 1."""
-    k = _kernel(field, coeffs)
-    one = k.one
-    return order_from_multiple(factor_integer(field.q ** (len(coeffs) - 1) - 1),
-                               k.pack((0, 1)),  # x reduced: a constant when d = 1
-                               k.power, lambda y: y == one)
 
 
 @lru_cache(maxsize=4)
@@ -123,7 +106,14 @@ def _prime_field(p: int) -> FieldCtx:
 
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(p: int, key) -> int:
-    return _order_of_x(_prime_field(p), tuple(key))
+    """Order of x modulo the monic irreducible M = `key` (its coefficients
+    over F_p, as bytes or a tuple) of degree d, found on the kernel of M
+    from the factored multiple p^d - 1."""
+    k = _kernel(_prime_field(p), tuple(key))
+    one = k.one
+    return order_from_multiple(factor_integer(p ** (len(key) - 1) - 1),
+                               k.pack((0, 1)),  # x reduced: a constant when d = 1
+                               k.power, lambda y: y == one)
 
 
 def _irreducible_order(field, coeffs: tuple) -> int:

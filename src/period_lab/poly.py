@@ -9,10 +9,11 @@ when the derivative vanishes), then distinct-degree splitting, then
 randomized equal-degree splitting driven by a fixed seed, so results are
 deterministic and canonically ordered.
 
-Arithmetic modulo one polynomial runs on a kernel built once per (field,
-modulus) and kept in a small LRU cache, which is_irreducible, the
-distinct- and equal-degree splits and the order of x share.  There are
-three kernels, none of which calls the field's element operations:
+Arithmetic modulo one polynomial runs on a kernel, which each routine
+builds for its modulus and keeps for the length of its own work: one for
+is_irreducible, one per remaining product in the distinct-degree split,
+one per product in the equal-degree split.  There are three kernels, none
+of which calls the field's element operations:
 carry-less bit vectors over F_2; over odd p, ints with one coefficient per
 slot of w bits, where a product is one big-int multiplication reduced by
 polynomial Barrett and every slot is taken mod p at once by one magic
@@ -51,6 +52,7 @@ from .ff import FieldCtx, _clmod, _clmul, _square_multiply
 from .intfactor import factor_integer
 
 _EDF_SEED = 1  # the equal-degree split's random source; factor sorts its output
+_MAX_EXPONENT = 1 << 20  # parse_poly refuses a larger exponent before allocating
 
 
 # -- raw coefficient-tuple arithmetic (hot paths) -----------------------------
@@ -337,11 +339,10 @@ def _slot_kernel(F, mod):
     return _Kernel(pack, mulmod, S.unpack, 1)
 
 
-@lru_cache(maxsize=16)
 def _kernel(F, mod):
-    """The kernel of the modulus `mod` (a tuple, degree >= 1) over F.  It
-    is built once and shared through this cache by is_irreducible, DDF,
-    EDF and the order of x, which all make many calls on one modulus."""
+    """The kernel of the modulus `mod` (a tuple, degree >= 1) over F,
+    built from this field instance.  Nothing caches it: its caller holds
+    it for the many products it makes on one modulus."""
     if F.e > 1:
         if F._log is not None and (F.p == 2 or F._add_t is not None):
             mulmod = _log_mulmod(F, mod)
@@ -356,10 +357,11 @@ def _kernel(F, mod):
 
 
 def _rpowmod(F, base, n, mod):
-    """base^n mod `mod` on the cached kernel of (F, mod): bit vectors over
-    F_2, _Slots ints over odd p (_slot_kernel), log and addition tables over
-    the extension fields that have them, and for the rest coefficient
-    tuples through F.mul/F.add, the only kernel that calls them."""
+    """base^n mod `mod` on a kernel of (F, mod) built for this call: bit
+    vectors over F_2, _Slots ints over odd p (_slot_kernel), log and
+    addition tables over the extension fields that have them, and for the
+    rest coefficient tuples through F.mul/F.add, the only kernel that
+    calls them."""
     if not mod:
         raise ZeroDivisionError("polynomial modulus is zero")
     if len(mod) == 1:
@@ -821,6 +823,8 @@ def parse_poly(field: FieldCtx, text: str) -> Poly:
             exp = 0
         else:
             exp = int(m.group("exp")) if m.group("exp") else 1
+            if exp > _MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the {_MAX_EXPONENT} degree limit")
         if sgn < 0:
             c = field.neg(c)
         acc[exp] = field.add(acc.get(exp, 0), c)

@@ -34,6 +34,9 @@ CASES = (
     "ord --field 2 --poly x^^2",
     # the zero polynomial has no order: a usage error, in the option's words
     "ord --field 2 --poly 0",
+    # an exponent past the degree limit is refused before any allocation
+    "ord --field 2 --poly x^99999999999",
+    "ord --field 2^3/x^99999999999 --poly x",
     # an irreducible degree-64 factor is past the 64-bit limit
     "ord --field 2 --poly x^64+x^4+x^3+x+1",
     # degree 40: the walk of powers of x stops at the budget, not after 2^40 steps

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import random
 from math import gcd
 
 import pytest
 
+import period_lab
 from period_lab import orders
 from period_lab.errors import (
     BudgetExceeded,
@@ -16,7 +19,6 @@ from period_lab.intfactor import euler_phi, factor_integer, lcm64
 from period_lab.orders import (
     _irreducible_order,
     _order_by_key,
-    _order_of_x,
     irreducible_order,
     poly_order,
     poly_order_bruteforce,
@@ -84,8 +86,17 @@ def test_sixty_four_bit_ceiling():
 
 
 def test_caches_are_bounded():
-    for cached in (factor_integer, _order_by_key):
-        assert cached.cache_info().maxsize is not None
+    """Every cache in period_lab has a finite maxsize, and none holds
+    kernels: each routine builds the kernel it needs."""
+    modules = [importlib.import_module(f"period_lab.{info.name}")
+               for info in pkgutil.iter_modules(period_lab.__path__)]
+    caches = {f"{m.__name__}.{name}": obj for m in modules
+              for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
+    assert {"period_lab.intfactor.factor_integer", "period_lab.orders._order_by_key",
+            "period_lab.poly._slots_for"} <= set(caches)
+    for name, cached in caches.items():
+        assert cached.cache_info().maxsize is not None, name
+    assert not any(name.endswith(("._kernel", "._power_kernel")) for name in caches)
 
 
 def test_irreducible_order_cache_keys():
@@ -97,7 +108,7 @@ def test_irreducible_order_cache_keys():
     rng = random.Random(4)
     _order_by_key.cache_clear()
     for F in (F5, make_field(2, 8), make_field(2, 12), make_field(1048573)):
-        Fp, found = make_field(F.p), set()
+        found = set()
         while len(found) < 3:
             g = Poly(F, [rng.randrange(1, F.q), 0, rng.randrange(F.q), 1])
             if not is_irreducible(g):
@@ -105,7 +116,7 @@ def test_irreducible_order_cache_keys():
             m = orders._prime_field_minimal_poly(F, g.coeffs) if F.e > 1 else g.coeffs
             if m not in found:
                 found.add(m)
-                want = _order_of_x(Fp, m)
+                want = _order_by_key.__wrapped__(F.p, m)
                 assert _irreducible_order(F, g.coeffs) == want  # a miss
                 assert _irreducible_order(F, g.coeffs) == want  # a hit
     info = _order_by_key.cache_info()
@@ -150,23 +161,19 @@ def test_irreducible_conjugates_share_one_order(e, d):
 def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
     """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
     have 381 minimal polynomials over F_2, and order_set_bruteforce finds
-    the order of x once for each; the cache is keyed on the int p."""
-    order_of_x, order_by_key = orders._order_of_x, orders._order_by_key
-    seen, primes = [], set()
-
-    def spy_order(field, coeffs):
-        seen.append(coeffs)
-        return order_of_x(field, coeffs)
+    the order of x once for each, as one _order_by_key miss; the cache is
+    keyed on the int p."""
+    order_by_key, primes = orders._order_by_key, set()
 
     def spy_key(p, key):
         primes.add(type(p))
         return order_by_key(p, key)
 
-    monkeypatch.setattr(orders, "_order_of_x", spy_order)
     monkeypatch.setattr(orders, "_order_by_key", spy_key)
     order_by_key.cache_clear()
     assert order_set_bruteforce(make_field(2, 4), 3) == period_set_closed_form(3, 16)
-    assert len(seen) == len(set(seen)) == 381
+    info = order_by_key.cache_info()
+    assert (info.misses, info.currsize) == (381, 381)
     assert primes == {int}
 
 

@@ -10,8 +10,9 @@ from period_lab.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from period_lab.ff import _square_multiply, make_field
-from period_lab.orders import _irreducible_order, _order_by_key, _order_of_x, poly_order
+from period_lab import orders
+from period_lab.ff import _square_multiply, make_field, parse_field_spec
+from period_lab.orders import _irreducible_order, _order_by_key, poly_order
 from period_lab.poly import (
     Factorization,
     Poly,
@@ -195,11 +196,12 @@ def test_extension_powmod_matches_reference(field, degrees):
                 assert got == _trim(got) and all(0 <= c < q for c in got)
 
 
-def test_prime_field_powmod_makes_no_field_callbacks():
+def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
     """F_2, the other prime fields and the table fields F_16 and F_9 run
     _rpowmod without the field's element operations, and so does the order
-    of x over F_2 and F_7; over F_16 and F_9 the order runs uncached, on the
-    minimal polynomial over F_p that _irreducible_order takes."""
+    of x over F_2 and F_7, run uncached with the refusing field as F_p;
+    over F_16 and F_9 the order runs uncached, on the minimal polynomial
+    over F_p that _irreducible_order takes."""
     def refuse(*args):
         raise AssertionError("table powmod called a field operation")
 
@@ -211,8 +213,13 @@ def test_prime_field_powmod_makes_no_field_callbacks():
                                ((3, 2), (2, 5, 7, 3, 1), 1640)):
         plain, F = make_field(p, e), make_field(p, e)
         F.mul = F.add = F.sub = F.neg = F.inv = refuse
-        _order_by_key.cache_clear()
-        assert (_order_of_x if e == 1 else _irreducible_order)(F, mod) == order
+        if e == 1:
+            with monkeypatch.context() as m:
+                m.setattr(orders, "_prime_field", lambda p: F)
+                assert _order_by_key.__wrapped__(p, mod) == order
+        else:
+            _order_by_key.cache_clear()
+            assert _irreducible_order(F, mod) == order
         lead = F.q - 1  # a non-monic modulus: mod times the element q - 1
         scaled = tuple(plain.mul(c, lead) for c in mod)
         base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1
@@ -347,31 +354,38 @@ def test_kernel_check_catches_mutants(monkeypatch, mutant):
     else:
         monkeypatch.setattr(poly, "_slot_width", lambda p, n: (
             (lambda w, s, magic: (w, s, magic - 1))(*width(p, n))))
-    _kernel.cache_clear()
     poly._slots_for.cache_clear()
     try:
         with pytest.raises(AssertionError):
             for p, degrees in KERNEL_GRID[1:]:
                 check_kernels(p, degrees)
     finally:
-        _kernel.cache_clear()
         poly._slots_for.cache_clear()
 
 
-def test_one_kernel_per_modulus():
-    """The kernel cache is bounded, and the order of a degree-20 irreducible
-    over F_3 builds one kernel, which DDF and the order of x share."""
-    assert _kernel.cache_info().maxsize <= 64
+def test_each_routine_builds_its_kernel_once(monkeypatch):
+    """No cache holds kernels: is_irreducible of a degree-20 irreducible g
+    over F_3 builds one kernel, and poly_order(g) builds two on g, DDF's
+    and the order of x's."""
+    assert not hasattr(_kernel, "cache_info")
     rng = random.Random(20)
     while True:
         g = Poly(F3, [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(19)] + [1])
         if is_irreducible(g):
             break
-    _kernel.cache_clear()
+    built = []
+
+    def spy(F, mod):
+        built.append(mod)
+        return _kernel(F, mod)
+
+    monkeypatch.setattr(poly, "_kernel", spy)
+    monkeypatch.setattr(orders, "_kernel", spy)
+    assert is_irreducible(g) and built == [g.coeffs]
+    built.clear()
     _order_by_key.cache_clear()
     poly_order(g)
-    info = _kernel.cache_info()
-    assert info.misses == 1 and info.hits >= 1
+    assert built == [g.coeffs, g.coeffs]
 
 
 def test_pow_matches_repeated_multiplication():
@@ -528,6 +542,18 @@ def test_parse_grammar():
     for bad in ("", "x+", "+", "--x", "x^", "y+1", "[1,2", "x*2", "2**x"):
         with pytest.raises(ParseError):
             parse_poly(F5 if "[" not in bad else F4, bad)
+
+
+def test_parse_refuses_huge_exponents():
+    """An exponent past the degree limit is refused before the coefficient
+    list is allocated, in a polynomial and in a field's modulus."""
+    limit = poly._MAX_EXPONENT
+    assert parse_poly(F2, f"x^{limit}").degree == limit
+    for exp in (limit + 1, 99999999999):
+        with pytest.raises(ParseError, match=f"exponent {exp} exceeds the {limit} degree limit"):
+            parse_poly(F2, f"x^{exp}+1")
+        with pytest.raises(ParseError, match=f"exponent {exp} exceeds"):
+            parse_field_spec(f"2^3/x^{exp}")
 
 
 def test_format_uses_canonical_coefficients():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from period_lab import poly
+from period_lab import orders, poly
 from period_lab.errors import (
     ConstantPolynomial,
     MixedContexts,
@@ -10,7 +10,6 @@ from period_lab.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from period_lab import orders
 from period_lab.ff import _square_multiply, make_field, parse_field_spec
 from period_lab.orders import _irreducible_order, _order_by_key, poly_order
 from period_lab.poly import (

@@ -132,18 +132,30 @@ def walk_back(start, step, what: str, cap: int, bug: type[Exception],
 class Record:
     """An immutable value with the fields named in `_fields`.
 
-    A subclass lists its fields in `_fields` (and in `__slots__`) and
-    passes their values to `Record.__init__` in that order.  Records of one
-    class compare and hash by their fields, print as `Name(field=value,
-    ...)`, pickle and copy through `__init__`, and raise AttributeError on
-    assignment, as frozen dataclasses do.
+    A subclass lists its fields in `_fields` (and in `__slots__`); a record
+    is built from their values, by position in that order or by name, and
+    a missing or unknown field is refused.  A subclass that validates or
+    derives state defines `__init__` and passes the field values on to
+    `Record.__init__`, setting derived state with `object.__setattr__`.
+    Records of one class compare and hash by their fields, print as
+    `Name(field=value, ...)`, pickle and copy through `__init__`, and raise
+    AttributeError on assignment, as frozen dataclasses do.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            if named:
+                raise TypeError(f"{type(self).__qualname__} got an unknown or repeated "
+                                f"field {next(iter(named))!r}")
+        if len(values) != len(fields):
+            raise ValueError(f"{type(self).__qualname__} takes the fields "
+                             f"{', '.join(fields)}: got {len(values)} values")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

@@ -29,6 +29,16 @@ def _check_ceiling(k: int, q: int) -> None:
         )
 
 
+def _ceiling_degree(q: int) -> int:
+    """The largest k with q^k - 1 within the 64-bit range, q^k <= 2^63."""
+    k = int(63 / math.log2(q))  # a float estimate, corrected exactly below
+    while q ** (k + 1) <= 1 << 63:
+        k += 1
+    while q ** k > 1 << 63:
+        k -= 1
+    return k
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= INT64_MAX."""
     if n < 2:

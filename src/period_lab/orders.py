@@ -5,7 +5,9 @@ dividing x^n - 1, equivalently the multiplicative order of x in
 F_q[x]/<g>.  The pipeline strips x^r, factors g, handles each repeated
 irreducible via the characteristic boost e*p^t, and combines with lcm;
 poly_order_bruteforce walks powers of x directly and is independent of
-factorization, so the two routes check each other.
+factorization, so the two routes check each other.  The factoring stops
+at the 64-bit limit: past the degree D with q^D - 1 <= 2^63 - 1 no order
+is in range, so poly_order splits g only up to degree D.
 
 The order of an irreducible g of degree d over F_q = F_{p^e} is the
 multiplicative order of any root a of g in F_{q^d}^* (Lidl & Niederreiter,
@@ -14,8 +16,9 @@ coefficients of a's minimal polynomial.  _irreducible_order is where F_p
 takes over: over an extension field it replaces g by the minimal
 polynomial M of a over F_p (the product of the conjugates of g under
 c -> c^p), and _order_by_key computes and caches the order of x modulo M
-under (p, M) on the packed prime-field kernel of M, so the conjugates of
-g share one entry.  Every product here runs on a kernel of poly._kernel,
+under (p, M) on the packed prime-field kernel of M, which
+poly._prime_kernel builds from p alone, so the conjugates of g share one
+entry and no F_p object is made.  Every product here runs on a kernel
 built for the one modulus it serves; this module reads no field tables.
 """
 
@@ -25,40 +28,38 @@ from functools import lru_cache
 
 from .errors import (
     LimitExceeded,
+    OutOfRange,
     Record,
     ReduciblePolynomial,
     ZeroConstantTerm,
     ZeroPolynomial,
     walk_back,
 )
-from .ff import FieldCtx
-from .intfactor import _check_ceiling, factor_integer, lcm64, order_from_multiple
-from .poly import Poly, _kernel, _mk, _rmonic, factor, is_irreducible
+from .intfactor import (
+    _ceiling_degree,
+    _check_ceiling,
+    factor_integer,
+    lcm64,
+    order_from_multiple,
+)
+from .poly import Poly, _factor_parts, _kernel, _mk, _prime_kernel, _rmonic, is_irreducible
 
 
 class FactorContribution(Record):
-    """One distinct irreducible factor's share of the order: its
-    multiplicity, base_order (the order of the irreducible factor itself),
-    char_exponent (the smallest t with p^t >= multiplicity) and contribution
+    """One distinct irreducible factor's share of the order: the factor, its
+    multiplicity, base_order (the order of the factor itself), char_exponent
+    (the smallest t with p^t >= multiplicity) and contribution
     (base_order * p^char_exponent)."""
 
     __slots__ = _fields = ("factor", "multiplicity", "base_order", "char_exponent",
                            "contribution")
 
-    def __init__(self, factor: Poly, multiplicity: int, base_order: int,
-                 char_exponent: int, contribution: int):
-        Record.__init__(self, factor, multiplicity, base_order, char_exponent,
-                        contribution)
-
 
 class OrderResult(Record):
-    """Order of a polynomial plus the per-factor ledger behind it."""
+    """The order of f = x^r * g, strip_exponent r, and contributions: the
+    ledger behind it, one FactorContribution per distinct factor of g."""
 
     __slots__ = _fields = ("order", "strip_exponent", "contributions")
-
-    def __init__(self, order: int, strip_exponent: int,
-                 contributions: tuple[FactorContribution, ...]):
-        Record.__init__(self, order, strip_exponent, contributions)
 
 
 def strip_x_power(f: Poly) -> tuple[int, Poly]:
@@ -98,18 +99,12 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
         out = mul(out, conj)
 
 
-@lru_cache(maxsize=4)
-def _prime_field(p: int) -> FieldCtx:
-    # one F_p per recent p, not one per miss: the order cache keeps no field
-    return FieldCtx(p, 1, None)  # p is checked
-
-
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(p: int, key) -> int:
     """Order of x modulo the monic irreducible M = `key` (its coefficients
     over F_p, as bytes or a tuple) of degree d, found on the kernel of M
     from the factored multiple p^d - 1."""
-    k = _kernel(_prime_field(p), tuple(key))
+    k = _prime_kernel(p, tuple(key))
     one = k.one
     return order_from_multiple(factor_integer(p ** (len(key) - 1) - 1),
                                k.pack((0, 1)),  # x reduced: a constant when d = 1
@@ -151,19 +146,31 @@ def _char_boost(p: int, multiplicity: int) -> tuple[int, int]:
 
 
 def poly_order(f: Poly) -> OrderResult:
-    """Order of any nonzero f, with the full per-factor ledger."""
+    """Order of any nonzero f, with the full per-factor ledger.
+
+    The factors of g are found, and their orders taken, by degree: past
+    the degree D with q^D - 1 at most 2^63 - 1 every order is out of
+    range, so the distinct-degree split stops after degree D.  The factors
+    found up to then are taken first, an lcm past 2^63 - 1 among them
+    raising OverflowError; then one past D raises OutOfRange, naming its
+    degree if the split ended by itself and the limit D if it stopped."""
     r, g = strip_x_power(f)
     if g.degree == 0:
         return OrderResult(1, r, ())
-    p = f.field.p
+    F = f.field
+    top = _ceiling_degree(F.q)
+    factors, rest = _factor_parts(F, _rmonic(F, g.coeffs), top)
     entries = []
     order = 1
-    for irr, mult in factor(g):
-        e = _irreducible_order(irr.field, irr.coeffs)
-        t, pt = _char_boost(p, mult)
+    for cs, mult in factors:
+        e = _irreducible_order(F, cs)
+        t, pt = _char_boost(F.p, mult)
         contribution = e * pt
-        entries.append(FactorContribution(irr, mult, e, t, contribution))
+        entries.append(FactorContribution(_mk(F, cs), mult, e, t, contribution))
         order = lcm64(order, contribution)
+    if rest:
+        raise OutOfRange(f"factors of degree above {top} over F_{F.q} are past the "
+                         f"64-bit limit: q^k - 1 must be at most 2^63 - 1")
     return OrderResult(order, r, tuple(entries))
 
 

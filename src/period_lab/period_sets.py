@@ -47,14 +47,11 @@ from .poly import _rmul, monic_polys
 
 
 class PeriodSet(Record):
-    """Sorted deduplicated set of achievable periods; compares equal to
-    any set, tuple or list holding the same values."""
+    """Sorted deduplicated set of achievable periods, the tuple `values`;
+    compares equal to any set, tuple or list holding the same values."""
 
     __slots__ = ("values", "_frozen")  # _frozen: as_set(), built on first use
     _fields = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        Record.__init__(self, values)
 
     @classmethod
     def of(cls, iterable) -> "PeriodSet":
@@ -89,8 +86,7 @@ class PeriodSet(Record):
             return self.as_set() == _as_frozenset(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.values)
+    __hash__ = Record.__hash__  # defining __eq__ would drop it
 
     def __repr__(self):
         return f"PeriodSet({list(self.values)})"

@@ -309,14 +309,16 @@ def _barrett_mu(S, g, d):
     return S.pack(S.divmod(1 << S.w * (2 * d - 2), g)[0][::-1])
 
 
-def _slot_kernel(F, mod):
+def _slot_kernel(p, mod):
     """Arithmetic mod `mod` (degree d >= 1) over F_p, p odd, on _Slots ints.
     A product is one big-int multiplication t = u*v, reduced by polynomial
     Barrett: with mu = floor(x^(2d-2)/g), g the monic modulus, the quotient
     of t by g is Q = floor(floor(t/x^d) * mu / x^(d-2)), and t mod g is the
     low d slots of t + Q*(-g mod p).  Each of the three steps ends in one
-    slot-parallel reduction mod p."""
-    p, d = F.p, len(mod) - 1
+    slot-parallel reduction mod p.  pack reduces a longer input by Horner's
+    rule over chunks of d coefficients, r <- r * x^d + chunk, with x^d mod
+    g = x^d - g: one product and one slot reduction per chunk."""
+    d = len(mod) - 1
     c = pow(mod[-1], p - 2, p)  # g = c*mod leaves the same remainders
     S = _slots_for(p, (d - 1).bit_length())  # it also holds x^(2d-2) / g
     negm = S.pack([-c * m % p for m in mod[:-1]])
@@ -334,26 +336,38 @@ def _slot_kernel(F, mod):
         return t - p * (t * magic >> s & mask)
 
     def pack(a):
-        return S.pack(a if len(a) <= d else _kdivmod(F, a, mod)[1])
+        i = max(len(a) - 1, 0) // d * d  # the top chunk: a[i:], at most d long
+        r = S.pack(a[i:])
+        while i:
+            i -= d
+            r = S.reduce(mulmod(r, negm) + S.pack(a[i:i + d]))
+        return r
 
     return _Kernel(pack, mulmod, S.unpack, 1)
 
 
-def _kernel(F, mod):
-    """The kernel of the modulus `mod` (a tuple, degree >= 1) over F,
-    built from this field instance.  Nothing caches it: its caller holds
-    it for the many products it makes on one modulus."""
-    if F.e > 1:
-        if F._log is not None and (F.p == 2 or F._add_t is not None):
-            mulmod = _log_mulmod(F, mod)
-            return _Kernel(lambda a: mulmod(a, (1,)), mulmod)
-        return _Kernel(lambda a: _rdivmod(F, a, mod)[1],
-                       lambda a, b: _rdivmod(F, _rmul(F, a, b), mod)[1])
-    if F.p == 2:
+def _prime_kernel(p, mod):
+    """The kernel of the modulus `mod` (a tuple over F_p, degree >= 1),
+    built from p alone: bit vectors over F_2, _Slots ints over odd p."""
+    if p == 2:
         m = _pack2(mod)
         return _Kernel(lambda a: _clmod(_pack2(a), m),
                        lambda u, v: _clmod(_clmul(u, v), m), _unpack2, 1)
-    return _slot_kernel(F, mod)
+    return _slot_kernel(p, mod)
+
+
+def _kernel(F, mod):
+    """The kernel of the modulus `mod` (a tuple, degree >= 1) over F: over
+    an extension field built from this field instance, over F_p by
+    _prime_kernel.  Nothing caches it: its caller holds it for the many
+    products it makes on one modulus."""
+    if F.e == 1:
+        return _prime_kernel(F.p, mod)
+    if F._log is not None and (F.p == 2 or F._add_t is not None):
+        mulmod = _log_mulmod(F, mod)
+        return _Kernel(lambda a: mulmod(a, (1,)), mulmod)
+    return _Kernel(lambda a: _rdivmod(F, a, mod)[1],
+                   lambda a, b: _rdivmod(F, _rmul(F, a, b), mod)[1])
 
 
 def _rpowmod(F, base, n, mod):
@@ -628,13 +642,11 @@ def is_irreducible(f: Poly) -> bool:
 
 
 class Factorization(Record):
-    """unit * product(factor^multiplicity); factors monic irreducible,
-    pairwise distinct, sorted by (degree, little-endian coefficients)."""
+    """unit * product(factor^multiplicity), `factors` the (factor,
+    multiplicity) pairs; factors monic irreducible, pairwise distinct,
+    sorted by (degree, little-endian coefficients)."""
 
     __slots__ = _fields = ("unit", "factors")
-
-    def __init__(self, unit: int, factors: tuple[tuple[Poly, int], ...]):
-        Record.__init__(self, unit, factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -684,13 +696,18 @@ def _squarefree_parts(F, f):
     return out
 
 
-def _distinct_degree_parts(F, f):
+def _distinct_degree_parts(F, f, top=None):
     """[(product of the degree-d irreducible factors, d), ...] for monic
-    squarefree f."""
+    squarefree f.  With `top`, the split stops after degree top if it has
+    not ended by then: the rest, whose factors all have degree above top,
+    comes last and unsplit, as (rest, None)."""
     out = []
     q = F.q
     g, i, ht, k = f, 0, (0, 1), None
     while 2 * (i + 1) <= len(g) - 1:  # so deg g >= 4 and x is reduced
+        if i == top:
+            out.append((g, None))
+            return out
         i += 1
         if k is None:  # the kernel of a new g, and h = ht mod g in its form
             k = _kernel(F, g)
@@ -740,6 +757,24 @@ def _equal_degree_split(F, f, d, draws):
                     + _equal_degree_split(F, rest, d, draws))
 
 
+def _factor_parts(F, w, top=None):
+    """The (monic irreducible, multiplicity) pairs of monic w (degree >= 1)
+    as coefficient tuples, sorted by (degree, coefficients), and whether
+    the distinct-degree split stopped after degree `top` (see
+    _distinct_degree_parts) with factors of higher degree left unfound."""
+    draws = _edf_draws(F.q)
+    counts: dict[tuple, int] = {}
+    rest = False
+    for part, mult in _squarefree_parts(F, w):
+        for prod, d in _distinct_degree_parts(F, part, top):
+            if d is None:
+                rest = True
+                continue
+            for irr in _equal_degree_split(F, prod, d, draws):
+                counts[irr] = counts.get(irr, 0) + mult
+    return sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])), rest
+
+
 def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities."""
     if f.is_zero:
@@ -749,14 +784,7 @@ def factor(f: Poly) -> Factorization:
     w = _rmonic(F, f.coeffs)
     if len(w) == 1:
         return Factorization(unit, ())
-    draws = _edf_draws(F.q)
-    counts: dict[tuple, int] = {}
-    for part, mult in _squarefree_parts(F, w):
-        for prod, d in _distinct_degree_parts(F, part):
-            for irr in _equal_degree_split(F, prod, d, draws):
-                counts[irr] = counts.get(irr, 0) + mult
-    ordered = sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return Factorization(unit, tuple((_mk(F, cs), m) for cs, m in ordered))
+    return Factorization(unit, tuple((_mk(F, cs), m) for cs, m in _factor_parts(F, w)[0]))
 
 
 def monic_polys(field: FieldCtx, degree: int):
@@ -817,14 +845,20 @@ def parse_poly(field: FieldCtx, text: str) -> Poly:
             c = field.one
         elif coeff_text.startswith("["):
             c = field.parse_element(coeff_text)
-        else:
-            c = field.from_int(int(coeff_text))
+        else:  # int() refuses more than 4,300 digits: reduce mod p by chunks
+            c = 0
+            for i in range(0, len(coeff_text), 1000):
+                chunk = coeff_text[i:i + 1000]
+                c = (c * 10 ** len(chunk) + int(chunk)) % field.p
+            c = field.from_int(c)
         if m.group("var") is None:
             exp = 0
         else:
-            exp = int(m.group("exp")) if m.group("exp") else 1
-            if exp > _MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} exceeds the {_MAX_EXPONENT} degree limit")
+            digits = (m.group("exp") or "1").lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+                raise ParseError(f"exponent {shown} exceeds the {_MAX_EXPONENT} degree limit")
+            exp = int(digits)
         if sgn < 0:
             c = field.neg(c)
         acc[exp] = field.add(acc.get(exp, 0), c)

@@ -22,7 +22,14 @@ import itertools
 import random
 from math import prod
 
-from .errors import BudgetExceeded, LengthMismatch, OutOfRange, ParseError, default_budget
+from .errors import (
+    BudgetExceeded,
+    LengthMismatch,
+    OutOfRange,
+    ParseError,
+    Record,
+    default_budget,
+)
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
 from .period_sets import PeriodSet, divisors, period_set_exact, set_product
@@ -30,23 +37,22 @@ from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
 
-class ProductRing:
-    """An ordered direct sum of finite fields; elements are r-tuples."""
+class ProductRing(Record):
+    """An ordered direct sum of finite fields, the tuple `components`;
+    elements are r-tuples."""
 
-    __slots__ = ("components", "size", "zero", "one")
+    __slots__ = _fields = ("components",)
 
     def __init__(self, components):
         components = tuple(components)
         if not components:
             raise OutOfRange("a product ring needs at least one component")
-        self.components = components
-        self.size = prod(c.q for c in components)
-        self.zero = (0,) * len(components)
-        self.one = (1,) * len(components)
+        Record.__init__(self, components)
 
-    @property
-    def r(self) -> int:
-        return len(self.components)
+    r = property(lambda self: len(self.components))
+    size = property(lambda self: prod(c.q for c in self.components))
+    zero = property(lambda self: (0,) * len(self.components))
+    one = property(lambda self: (1,) * len(self.components))
 
     def element(self, parts) -> tuple:
         if isinstance(parts, int):
@@ -92,19 +98,8 @@ class ProductRing:
     def spec(self) -> str:
         return "+".join(c.spec() for c in self.components)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProductRing):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
     def __repr__(self):
         return f"ProductRing({self.spec()!r})"
-
-    def __reduce__(self):
-        return (ProductRing, (self.components,))
 
 
 def make_product_ring(specs) -> ProductRing:
@@ -227,33 +222,33 @@ def verify_field_characterization(ring: ProductRing, k: int, *,
     }
 
 
-class GroupAlgebra:
-    """F_p[t]/<t^n - 1>; elements are length-n coefficient tuples."""
+class GroupAlgebra(Record):
+    """F_p[t]/<t^n - 1>, the fields p and n; elements are length-n
+    coefficient tuples.  Derived: base F_p, the `factors` of t^n - 1 and
+    the field `decomposition` (None unless semisimple)."""
 
-    __slots__ = ("p", "n", "base", "factors", "semisimple", "decomposition",
-                 "size", "zero", "one", "_circulant")
+    __slots__ = ("p", "n", "base", "factors", "decomposition", "_circulant")
+    _fields = ("p", "n")
 
     def __init__(self, p: int, n: int):
         if n < 2:
             raise OutOfRange("group algebras need n >= 2")
-        self.p = p
-        self.n = n
-        self.base = make_field(p)
-        circulant = Poly(self.base, (self.base.neg(1),) + (0,) * (n - 1) + (1,))
-        self._circulant = circulant
-        self.factors = factor(circulant)
-        self.semisimple = all(m == 1 for _, m in self.factors)
-        self.size = p ** n
-        self.zero = (0,) * n
-        self.one = (1,) + (0,) * (n - 1)
-        if self.semisimple:
-            fields = []
-            for f, _ in self.factors:
-                d = f.degree
-                fields.append(make_field(p, d, f.coeffs) if d > 1 else make_field(p))
-            self.decomposition = ProductRing(fields)
-        else:
-            self.decomposition = None
+        Record.__init__(self, p, n)
+        base = make_field(p)
+        circulant = Poly(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
+        factors = factor(circulant)
+        decomposition = None
+        if all(m == 1 for _, m in factors):
+            decomposition = ProductRing(make_field(p, f.degree, f.coeffs) if f.degree > 1
+                                        else make_field(p) for f, _ in factors)
+        for name, value in (("base", base), ("factors", factors),
+                            ("decomposition", decomposition), ("_circulant", circulant)):
+            object.__setattr__(self, name, value)
+
+    semisimple = property(lambda self: self.decomposition is not None)
+    size = property(lambda self: self.p ** self.n)
+    zero = property(lambda self: (0,) * self.n)
+    one = property(lambda self: (1,) + (0,) * (self.n - 1))
 
     # ring context protocol -------------------------------------------------
 
@@ -313,17 +308,6 @@ class GroupAlgebra:
     def project_recurrence(self, rec: Recurrence) -> Recurrence:
         return Recurrence(self.decomposition,
                           tuple(self.project(c) for c in rec.coeffs))
-
-    def __repr__(self):
-        return f"GroupAlgebra(p={self.p}, n={self.n})"
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebra):
-            return NotImplemented
-        return (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash(("GroupAlgebra", self.p, self.n))
 
 
 def make_group_algebra(p: int, n: int) -> GroupAlgebra:

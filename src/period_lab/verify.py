@@ -55,19 +55,16 @@ SCOPES = ("orders", "period-sets", "rings")
 
 
 class CheckResult(Record):
+    """One check: name, scope, claim, expected, computed, passed, elapsed_ms."""
+
     __slots__ = _fields = ("name", "scope", "claim", "expected", "computed", "passed",
                            "elapsed_ms")
 
-    def __init__(self, name: str, scope: str, claim: str, expected: str, computed: str,
-                 passed: bool, elapsed_ms: float):
-        Record.__init__(self, name, scope, claim, expected, computed, passed, elapsed_ms)
-
 
 class VerifyReport(Record):
-    __slots__ = _fields = ("checks",)
+    """A verify run: checks, its CheckResults in run order."""
 
-    def __init__(self, checks: tuple[CheckResult, ...]):
-        Record.__init__(self, checks)
+    __slots__ = _fields = ("checks",)
 
     @property
     def passed(self) -> bool:

@@ -69,6 +69,21 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_integers_past_the_interpreter_digit_limit_are_read_by_the_parser(capsys):
+    """An exponent of 5,000 digits is a usage error in the program's own
+    words, and a coefficient of 5,000 digits is read mod p, not refused in
+    the interpreter's words about its digit limit."""
+    nines = "9" * 5000
+    code, out, err = run_cli(capsys, "ord", "--field", "2", "--poly", f"x^{nines}")
+    assert (code, out) == (2, "")
+    assert err == "usage error: exponent of 5000 digits exceeds the 1048576 degree limit\n"
+    code, out, err = run_cli(capsys, "ord", "--field", "2", "--poly", f"{nines}*x+1")
+    assert (code, out, err) == (0, "1\n", "")  # 10^5000 - 1 is odd: the order of x+1
+    code, out, err = run_cli(capsys, "ord", "--field", "2", "--poly", "8" * 5000)
+    assert (code, out) == (2, "")  # 0 mod 2
+    assert err == "usage error: --poly must be a nonzero polynomial\n"
+
+
 def test_computation_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, "period-set", "--field", "2", "--degree", "7")
     assert code == 1 and "closed form" in err

@@ -1,12 +1,13 @@
 import importlib
 import pkgutil
 import random
+import sys
 from math import gcd
 
 import pytest
 
 import period_lab
-from period_lab import orders
+from period_lab import orders, poly
 from period_lab.errors import (
     BudgetExceeded,
     OutOfRange,
@@ -83,6 +84,90 @@ def test_sixty_four_bit_ceiling():
     assert is_irreducible(big4)
     with pytest.raises(OutOfRange, match="degree 32 over F_4 is past the 64-bit limit"):
         poly_order(big4)
+
+
+def frobenius_steps(monkeypatch):
+    """A list that records each Frobenius step of the distinct-degree
+    split: a power h^q in _distinct_degree_parts."""
+    steps, power = [], poly._Kernel.power
+
+    def spy(k, u, n):
+        if sys._getframe(1).f_code.co_name == "_distinct_degree_parts":
+            steps.append(n)
+        return power(k, u, n)
+
+    monkeypatch.setattr(poly._Kernel, "power", spy)
+    return steps
+
+
+def full_ledger_order(f):
+    """The order by the whole factorization, the factors taken in factor's
+    order: the outcome, or the type of the error that stops it."""
+    try:
+        order = 1
+        for irr, mult in factor(strip_x_power(f)[1]):
+            pt = orders._char_boost(f.field.p, mult)[1]
+            order = lcm64(order, _irreducible_order(f.field, irr.coeffs) * pt)
+        return order
+    except (OutOfRange, OverflowError) as exc:
+        return type(exc)
+
+
+def test_order_stops_the_split_at_the_sixty_four_bit_limit(monkeypatch):
+    """Past the degree D with q^D - 1 <= 2^63 - 1 (63 over F_2) every order
+    is out of range, so poly_order stops the distinct-degree split there.
+    x^12000+x^7+1 over F_2 takes at most 63 Frobenius steps, and its
+    in-range factors still overflow the lcm first, as with the whole
+    factorization.  A product of two degree-64 irreducibles stops with the
+    limit in the message; factor still splits it."""
+    steps = frobenius_steps(monkeypatch)
+    with pytest.raises(OverflowError, match="^lcm exceeds the 64-bit range$"):
+        poly_order(parse_poly(F2, "x^12000+x^7+1"))
+    assert 0 < len(steps) <= 63 and set(steps) == {2}
+    rng = random.Random(64)
+    a = parse_poly(F2, "x^64+x^4+x^3+x+1")
+    while True:
+        b = Poly(F2, [1] + [rng.randrange(2) for _ in range(63)] + [1])
+        if is_irreducible(b) and b != a:
+            break
+    steps.clear()
+    with pytest.raises(OutOfRange, match=(
+            r"^factors of degree above 63 over F_2 are past the 64-bit limit: "
+            r"q\^k - 1 must be at most 2\^63 - 1$")):
+        poly_order(a * b)
+    assert len(steps) == 63
+    assert factor(a * b).factors == tuple(sorted(((a, 1), (b, 1)),
+                                                 key=lambda fm: fm[0].coeffs))
+
+
+def test_order_past_the_limit_fails_as_the_whole_factorization_does():
+    """Mixtures of factors below and above the limit, over F_2, F_3 and
+    F_4, with lcms that fit and that overflow: poly_order answers, or
+    fails with the error type, that the whole factorization gives."""
+    rng = random.Random(63)
+    seen = set()
+    for F, top in ((F2, 63), (F3, 39), (make_field(2, 2), 31)):
+        def irreducible(d):
+            while True:
+                g = Poly(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(d - 1)]
+                         + [1])
+                if is_irreducible(g):
+                    return g
+
+        small = [irreducible(d) for d in (top - 1, top, top // 2, 3)]
+        big = [irreducible(top + 1), irreducible(top + 2)]
+        for _ in range(12):
+            f = Poly.one(F)
+            for g in rng.sample(small, rng.randrange(0, 4)) + rng.sample(big, rng.randrange(0, 3)):
+                f = f * g ** rng.randrange(1, 3)
+            want = full_ledger_order(f)
+            try:
+                got = poly_order(f).order
+            except (OutOfRange, OverflowError) as exc:
+                got = type(exc)
+            assert got == want, (F, f.degree)
+            seen.add(want if isinstance(want, type) else int)
+    assert seen == {int, OutOfRange, OverflowError}
 
 
 def test_caches_are_bounded():

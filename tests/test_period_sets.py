@@ -157,12 +157,61 @@ def test_order_set_bruteforce_orders_exactly_the_irreducibles(monkeypatch):
         assert seen == expected, (q, k)
 
 
+def mobius(n):
+    out = 1
+    for _, exp in factor_integer(n):
+        if exp > 1:
+            return 0
+        out = -out
+    return out
+
+
+BRUTE_FORCE_GRID = [(2, 8), (3, 5), (4, 4), (5, 3), (8, 3), (9, 3)]
+
+
+@pytest.mark.parametrize("q,top", BRUTE_FORCE_GRID, ids=[f"F{q}" for q, _ in BRUTE_FORCE_GRID])
+def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top):
+    """For every k up to top, the pass reaches each monic polynomial of
+    degree d <= k with f(0) != 0 once: the irreducibles whose order of x it
+    takes, and the products of two or more factors that it builds with
+    _rmul, number q^d - q^(d-1) in each degree d.  The irreducibles number
+    (1/d) * sum over e | d of mu(e) q^(d/e) (Gauss), less x at d = 1, and
+    the pass also builds each of them once, as 1 * g."""
+    order_of_x, rmul = period_sets._irreducible_order, period_sets._rmul
+    irreducibles, products, ones = {}, {}, {}
+
+    def count(counts, d):
+        counts[d] = counts.get(d, 0) + 1
+
+    def order_spy(field, coeffs):
+        count(irreducibles, len(coeffs) - 1)
+        return order_of_x(field, coeffs)
+
+    def rmul_spy(field, a, b):
+        out = rmul(field, a, b)
+        count(ones if a == (1,) else products, len(out) - 1)
+        return out
+
+    monkeypatch.setattr(period_sets, "_irreducible_order", order_spy)
+    monkeypatch.setattr(period_sets, "_rmul", rmul_spy)
+    field = make_field(*split_prime_power(q))
+    for k in range(1, top + 1):
+        for counts in (irreducibles, products, ones):
+            counts.clear()
+        order_set_bruteforce(field, k)
+        assert set(irreducibles) | set(products) == set(range(1, k + 1)), (q, k)
+        for d in range(1, k + 1):
+            gauss = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+            assert irreducibles[d] == ones[d] == gauss - (d == 1), (q, k, d)
+            assert irreducibles[d] + products.get(d, 0) == q ** d - q ** (d - 1), (q, k, d)
+
+
 def test_order_set_bruteforce_factors_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("factored or tested a polynomial")
 
-    for name in ("poly.factor", "poly.is_irreducible", "orders.factor",
-                 "orders.is_irreducible", "orders.poly_order"):
+    for name in ("poly.factor", "poly._factor_parts", "poly.is_irreducible",
+                 "orders._factor_parts", "orders.is_irreducible", "orders.poly_order"):
         monkeypatch.setattr(f"period_lab.{name}", refuse)
     assert order_set_bruteforce(make_field(2), 6) == period_set_exact(6, 2)
 

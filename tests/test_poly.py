@@ -10,7 +10,7 @@ from period_lab.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from period_lab.ff import _square_multiply, make_field, parse_field_spec
+from period_lab.ff import FieldCtx, _square_multiply, make_field, parse_field_spec
 from period_lab.orders import _irreducible_order, _order_by_key, poly_order
 from period_lab.poly import (
     Factorization,
@@ -24,6 +24,7 @@ from period_lab.poly import (
     _kdivmod,
     _kernel,
     _kgcd,
+    _prime_kernel,
     _rdivmod,
     _rgcd,
     _rmul,
@@ -197,10 +198,10 @@ def test_extension_powmod_matches_reference(field, degrees):
 
 def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
     """F_2, the other prime fields and the table fields F_16 and F_9 run
-    _rpowmod without the field's element operations, and so does the order
-    of x over F_2 and F_7, run uncached with the refusing field as F_p;
-    over F_16 and F_9 the order runs uncached, on the minimal polynomial
-    over F_p that _irreducible_order takes."""
+    _rpowmod without the field's element operations.  The order of x over
+    F_2 and F_7 runs uncached on a kernel built from p alone, and builds no
+    field; over F_16 and F_9 the order runs uncached, on the minimal
+    polynomial over F_p that _irreducible_order takes."""
     def refuse(*args):
         raise AssertionError("table powmod called a field operation")
 
@@ -214,7 +215,7 @@ def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
         F.mul = F.add = F.sub = F.neg = F.inv = refuse
         if e == 1:
             with monkeypatch.context() as m:
-                m.setattr(orders, "_prime_field", lambda p: F)
+                m.setattr(FieldCtx, "__init__", refuse)
                 assert _order_by_key.__wrapped__(p, mod) == order
         else:
             _order_by_key.cache_clear()
@@ -245,6 +246,33 @@ def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
             for g, _ in fac:
                 assert is_irreducible(Poly(F, g.coeffs))
             assert not is_irreducible(fr)
+
+
+def test_long_bases_reduce_by_horner(monkeypatch):
+    """The odd-p kernel packs a base far longer than its modulus chunk by
+    chunk through its own product, and agrees with the tuple division; its
+    only division on slots is of x^(2d-2), for the Barrett constant.  Over
+    F_3 the degree-40,000 base of a cubic modulus takes some 13,000 chunks."""
+    divmod_slots = _Slots.divmod
+
+    def spy(S, a, b):
+        assert a & (a - 1) == 0, "a long base was reduced by division"
+        return divmod_slots(S, a, b)
+
+    rng = random.Random(40)
+    for p in (3, 7, 65521):
+        F = make_field(p)
+        for d in (1, 2, 3, 8, 37):
+            mod = Poly(F, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+            for length in (d + 1, 3 * d + 2, 1000, 40001 if p == 3 else 4001):
+                base = Poly(F, [rng.randrange(p) for _ in range(length - 1)] + [1])
+                want = [base % mod]
+                for n in (2, 5):
+                    want.append(want[0] ** n % mod)
+                with monkeypatch.context() as m:
+                    m.setattr(_Slots, "divmod", spy)
+                    got = [powmod(base, n, mod) for n in (1, 2, 5)]
+                assert got == want, (p, d, length)
 
 
 # (p, degrees) for the kernel checks: F_2's bit vectors, and the slot
@@ -365,7 +393,7 @@ def test_kernel_check_catches_mutants(monkeypatch, mutant):
 def test_each_routine_builds_its_kernel_once(monkeypatch):
     """No cache holds kernels: is_irreducible of a degree-20 irreducible g
     over F_3 builds one kernel, and poly_order(g) builds two on g, DDF's
-    and the order of x's."""
+    and the order of x's, both from p by _prime_kernel."""
     assert not hasattr(_kernel, "cache_info")
     rng = random.Random(20)
     while True:
@@ -374,12 +402,12 @@ def test_each_routine_builds_its_kernel_once(monkeypatch):
             break
     built = []
 
-    def spy(F, mod):
+    def spy(p, mod):
         built.append(mod)
-        return _kernel(F, mod)
+        return _prime_kernel(p, mod)
 
-    monkeypatch.setattr(poly, "_kernel", spy)
-    monkeypatch.setattr(orders, "_kernel", spy)
+    monkeypatch.setattr(poly, "_prime_kernel", spy)
+    monkeypatch.setattr(orders, "_prime_kernel", spy)
     assert is_irreducible(g) and built == [g.coeffs]
     built.clear()
     _order_by_key.cache_clear()
@@ -553,6 +581,33 @@ def test_parse_refuses_huge_exponents():
             parse_poly(F2, f"x^{exp}+1")
         with pytest.raises(ParseError, match=f"exponent {exp} exceeds"):
             parse_field_spec(f"2^3/x^{exp}")
+
+
+def test_parse_reads_integers_past_the_interpreter_digit_limit():
+    """int() refuses strings of more than 4,300 digits.  A longer exponent
+    is refused by the degree limit, with its digit count and not its
+    digits; a longer coefficient is read mod p; leading zeros count as
+    nothing."""
+    limit = poly._MAX_EXPONENT
+    for digits in ("9" * 5000, "1" + "0" * 4400, "9" * 21):
+        for text in (f"x^{digits}", f"x^{digits}+x+1", f"[1,1]*x^{digits}"):
+            with pytest.raises(ParseError) as exc:
+                parse_poly(F4 if "[" in text else F5, text)
+            assert str(exc.value) == (
+                f"exponent of {len(digits)} digits exceeds the {limit} degree limit")
+    with pytest.raises(ParseError, match=f"^exponent {'9' * 20} exceeds"):
+        parse_poly(F5, f"x^{'9' * 20}")
+    assert parse_poly(F5, f"x^{'0' * 5000}{limit}").degree == limit
+    assert parse_poly(F5, "x^00+x^001") == parse_poly(F5, "x+1")
+    for p in (2, 3, 7, 65521):
+        F = make_field(p)
+        for n in (4301, 5000, 12345):
+            nines = pow(10, n, p) - 1  # 10^n - 1, the n-digit 99...9, mod p
+            want = Poly(F, (3, nines, 0, 1))
+            assert parse_poly(F, f"x^3+{'9' * n}*x+3") == want, (p, n)
+            assert parse_poly(F, f"x^3+{'0' * n}9{'9' * n}*x+{'0' * n}3") == Poly(
+                F, (3, 10 * nines + 9, 0, 1)), (p, n)
+    assert parse_poly(F4, f"x+{'9' * 5000}") == parse_poly(F4, "x+1")
 
 
 def test_format_uses_canonical_coefficients():

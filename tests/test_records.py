@@ -1,7 +1,8 @@
 """The result records keep the contract of the frozen dataclasses they
 replace: field equality within one class, hashing, AttributeError on
 assignment, pickle and copy round-trips, and the same repr text, which
-`verify` prints in its CLI output."""
+`verify` prints in its CLI output.  The two ring contexts, ProductRing and
+GroupAlgebra, are records too and keep the same contract."""
 
 import copy
 import pickle
@@ -13,6 +14,7 @@ from period_lab.ff import make_field
 from period_lab.orders import FactorContribution, OrderResult, poly_order
 from period_lab.period_sets import PeriodSet
 from period_lab.poly import Factorization, factor, parse_poly
+from period_lab.rings import GroupAlgebra, ProductRing, make_product_ring
 from period_lab.sequences import Recurrence, SequenceRun
 from period_lab.verify import CheckResult, VerifyReport
 
@@ -41,6 +43,8 @@ RECORDS = {
                     lambda: SequenceRun(Recurrence(F5, (1, 1)), (1, 1))),
     "CheckResult": (_check, lambda: _check("[1]")),
     "VerifyReport": (lambda: VerifyReport((_check(),)), lambda: VerifyReport(())),
+    "ProductRing": (lambda: make_product_ring([2, 3]), lambda: make_product_ring([2, 5])),
+    "GroupAlgebra": (lambda: GroupAlgebra(2, 5), lambda: GroupAlgebra(3, 5)),
 }
 
 # the reprs of the dataclasses these records replace, byte for byte
@@ -63,11 +67,14 @@ REPRS = {
     "VerifyReport": "VerifyReport(checks=(CheckResult(name='n', scope='orders', claim='c', "
                     "expected='[1, 2]', computed=\"{1: 'a'}\", passed=False, "
                     "elapsed_ms=0.25),))",
+    "ProductRing": "ProductRing('2+3')",
+    "GroupAlgebra": "GroupAlgebra(p=2, n=5)",
 }
 # each frozen record's first field
 FROZEN = {"FactorContribution": "factor", "OrderResult": "order", "Factorization": "unit",
           "PeriodSet": "values", "Recurrence": "ctx", "SequenceRun": "recurrence",
-          "CheckResult": "name", "VerifyReport": "checks"}
+          "CheckResult": "name", "VerifyReport": "checks", "ProductRing": "components",
+          "GroupAlgebra": "p"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -155,3 +162,40 @@ def test_record_refuses_a_value_count_other_than_its_fields():
     for values in ((1,), (1, 2, 3)):
         with pytest.raises(ValueError):
             Pair(*values)
+
+
+def test_record_binds_values_by_position_and_by_name():
+    """Values bind to _fields by position, then by name; a missing field
+    leaves the count short, and an unknown name or one already bound by
+    position is refused."""
+    class Pair(Record):
+        __slots__ = _fields = ("a", "b")
+
+    assert Pair(1, 2) == Pair(1, b=2) == Pair(b=2, a=1) == Pair(a=1, b=2)
+    assert repr(Pair(b=2, a=1)).endswith("Pair(a=1, b=2)")
+    with pytest.raises(ValueError, match="takes the fields a, b: got 1 values"):
+        Pair(a=1)
+    for args, named in (((1, 2), {"c": 3}), ((1,), {"a": 2}), ((), {"a": 1, "c": 2})):
+        with pytest.raises(TypeError, match="unknown or repeated field"):
+            Pair(*args, **named)
+    assert _check() == CheckResult("n", "orders", "c", "[1, 2]", "{1: 'a'}", False, 0.25)
+
+
+def test_records_take_the_value_contract_from_record():
+    """The result records define no constructor of their own, and the ring
+    contexts no equality, hashing or pickling; GroupAlgebra's repr is
+    Record's too.  Keyword construction and refusals come from Record."""
+    for cls in (FactorContribution, OrderResult, PeriodSet, Factorization, CheckResult,
+                VerifyReport):
+        assert "__init__" not in vars(cls), cls
+    for cls in (ProductRing, GroupAlgebra):
+        assert issubclass(cls, Record)
+        assert not {"__eq__", "__hash__", "__reduce__"} & set(vars(cls)), cls
+    assert "__repr__" not in vars(GroupAlgebra)
+    assert GroupAlgebra(n=5, p=2) == GroupAlgebra(2, 5)
+    assert VerifyReport(checks=()) == VerifyReport(())
+    with pytest.raises(TypeError):
+        FactorContribution(factor=None, multiplicity=1, base_order=1, char_exponent=0,
+                           contribution=1, order=1)
+    with pytest.raises(ValueError):
+        OrderResult(order=1, strip_exponent=0)

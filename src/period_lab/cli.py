@@ -319,6 +319,8 @@ def _run_algebra(args) -> int:
     with _reading_inputs():
         _at_least(args.n, 2, "--n")
         _at_least(args.degree, 1, "--degree")
+        if args.degree is not None and not args.max_period:
+            raise UsageError("--degree needs --max-period")
         ga = GroupAlgebra(args.p, args.n)
         _at_least(args.budget, 1, "--budget")
     payload = {

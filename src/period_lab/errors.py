@@ -9,7 +9,7 @@ The work budget lives here too, next to BudgetExceeded: every budgeted
 route reads budget=None as default_budget().  Every brute-force walk (the
 state shift of a recurrence, h <- x*h mod g, M <- M*C) runs in walk_back:
 it stops after min(provable cap, budget) steps, raising BudgetExceeded
-past the budget and the route's own "bug?" error past the cap.
+past the budget and LimitExceeded ("bug?") past the cap.
 
 Record, the base of the package's result records, lives here as well, so
 that every module can use it without importing dataclasses.
@@ -86,11 +86,12 @@ class ParseError(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """A brute-force search passed its provable bound; indicates a bug."""
+    """A brute-force search or walk passed its provable bound (a state walk
+    its total state count, an order walk q^d - 1); indicates a bug.  Also
+    named CapExceeded."""
 
 
-class CapExceeded(RuntimeError):
-    """A state walk passed the total state count; indicates a bug."""
+CapExceeded = LimitExceeded
 
 
 class BudgetExceeded(RuntimeError):
@@ -112,11 +113,11 @@ def default_budget() -> int:
     return budget
 
 
-def walk_back(start, step, what: str, cap: int, bug: type[Exception],
-              budget: int | None = None) -> int:
+def walk_back(start, step, what: str, cap: int, budget: int | None = None) -> int:
     """Least n >= 1 with step^n(start) == start (`step` returns a new
     value).  Walks at most min(cap, budget) steps: past the provable `cap`
-    it raises `bug`, past `budget` (None: default_budget()) BudgetExceeded."""
+    it raises LimitExceeded, past `budget` (None: default_budget())
+    BudgetExceeded."""
     if budget is None:
         budget = default_budget()
     x = start
@@ -126,7 +127,7 @@ def walk_back(start, step, what: str, cap: int, bug: type[Exception],
             return n
     if budget < cap:
         raise BudgetExceeded(f"no {what} within the budget of {budget} steps")
-    raise bug(f"no {what} within {cap} steps (bug?)")
+    raise LimitExceeded(f"no {what} within {cap} steps (bug?)")
 
 
 class Record:

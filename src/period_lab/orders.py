@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (
-    LimitExceeded,
     OutOfRange,
     Record,
     ReduciblePolynomial,
@@ -199,5 +198,4 @@ def poly_order_bruteforce(f: Poly, *, budget: int | None = None) -> int:
                     h[i] = sub(h[i], mul(carry, gcs[i]))
         return tuple(h)
 
-    return walk_back((1,) + (0,) * (d - 1), times_x, "order", F.q ** d - 1,
-                     LimitExceeded, budget)
+    return walk_back((1,) + (0,) * (d - 1), times_x, "order", F.q ** d - 1, budget)

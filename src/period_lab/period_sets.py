@@ -23,6 +23,7 @@ order of x modulo each one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import islice, repeat
 
 from .errors import (
@@ -47,11 +48,12 @@ from .poly import _rmul, monic_polys
 
 
 class PeriodSet(Record):
-    """Sorted deduplicated set of achievable periods, the tuple `values`;
-    compares equal to any set, tuple or list holding the same values."""
+    """Sorted deduplicated set of achievable periods, the tuple `values`.
+    `in` is a binary search of `values`.  Hashes as its values and compares
+    equal to a PeriodSet, set or list holding the same values; a tuple or
+    frozenset, which hash by their own rule, compares unequal."""
 
-    __slots__ = ("values", "_frozen")  # _frozen: as_set(), built on first use
-    _fields = ("values",)
+    __slots__ = _fields = ("values",)
 
     @classmethod
     def of(cls, iterable) -> "PeriodSet":
@@ -67,35 +69,27 @@ class PeriodSet(Record):
         return len(self.values)
 
     def __contains__(self, n):
-        return n in self.as_set()
+        values = self.values
+        i = bisect_left(values, n)
+        return i < len(values) and values[i] == n
 
     def as_set(self) -> frozenset:
-        try:
-            return self._frozen
-        except AttributeError:
-            object.__setattr__(self, "_frozen", frozenset(self.values))
-            return self._frozen
+        return frozenset(self.values)
 
     def issubset(self, other) -> bool:
-        return self.as_set() <= _as_frozenset(other)
+        return self.as_set().issubset(other)
 
     def __eq__(self, other):
         if isinstance(other, PeriodSet):
             return self.values == other.values
-        if isinstance(other, (set, frozenset, tuple, list)):
-            return self.as_set() == _as_frozenset(other)
+        if isinstance(other, (set, list)):
+            return self.as_set() == set(other)
         return NotImplemented
 
     __hash__ = Record.__hash__  # defining __eq__ would drop it
 
     def __repr__(self):
         return f"PeriodSet({list(self.values)})"
-
-
-def _as_frozenset(other) -> frozenset:
-    if isinstance(other, PeriodSet):
-        return other.as_set()
-    return frozenset(other)
 
 
 def divisors(n: int) -> PeriodSet:

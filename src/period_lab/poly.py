@@ -370,19 +370,6 @@ def _kernel(F, mod):
                    lambda a, b: _rdivmod(F, _rmul(F, a, b), mod)[1])
 
 
-def _rpowmod(F, base, n, mod):
-    """base^n mod `mod` on a kernel of (F, mod) built for this call: bit
-    vectors over F_2, _Slots ints over odd p (_slot_kernel), log and
-    addition tables over the extension fields that have them, and for the
-    rest coefficient tuples through F.mul/F.add, the only kernel that
-    calls them."""
-    if not mod:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    if len(mod) == 1:
-        return ()  # unit modulus: everything reduces to zero
-    return _kernel(F, mod).powmod(base, n)
-
-
 def _cldivmod(a: int, b: int):
     """Carry-less quotient and remainder of bit vectors, b != 0."""
     db, quot = b.bit_length(), 0
@@ -605,13 +592,17 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def powmod(base: Poly, n: int, mod: Poly) -> Poly:
-    """base^n reduced mod `mod`, via square-and-multiply."""
+    """base^n reduced mod `mod`, by square-and-multiply on a kernel of
+    (field, mod) built for this call (see _kernel); a unit modulus reduces
+    everything to zero."""
     base._check(mod)
     if n < 0:
         raise OutOfRange("negative exponent")
     if mod.is_zero:
         raise ZeroDivisionError("powmod modulus is zero")
-    return _mk(base.field, _rpowmod(base.field, base.coeffs, n, mod.coeffs))
+    if mod.degree == 0:
+        return _mk(base.field, ())
+    return _mk(base.field, _kernel(base.field, mod.coeffs).powmod(base.coeffs, n))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -33,7 +33,7 @@ from .errors import (
 from .ff import FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
 from .period_sets import PeriodSet, divisors, period_set_exact, set_product
-from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
+from .poly import _MAX_EXPONENT, Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
 
@@ -223,9 +223,11 @@ def verify_field_characterization(ring: ProductRing, k: int, *,
 
 
 class GroupAlgebra(Record):
-    """F_p[t]/<t^n - 1>, the fields p and n; elements are length-n
-    coefficient tuples.  Derived: base F_p, the `factors` of t^n - 1 and
-    the field `decomposition` (None unless semisimple)."""
+    """F_p[t]/<t^n - 1>, the fields p and n, 2 <= n <= 2^20 (the degree
+    limit of every polynomial); elements are length-n coefficient tuples.
+    Derived: base F_p, the `factors` of t^n - 1 and the field
+    `decomposition` (None unless semisimple).  Also named
+    make_group_algebra."""
 
     __slots__ = ("p", "n", "base", "factors", "decomposition", "_circulant")
     _fields = ("p", "n")
@@ -233,6 +235,9 @@ class GroupAlgebra(Record):
     def __init__(self, p: int, n: int):
         if n < 2:
             raise OutOfRange("group algebras need n >= 2")
+        if n > _MAX_EXPONENT:
+            raise OutOfRange(f"group algebras need n <= {_MAX_EXPONENT}, "
+                             f"the polynomial degree limit")
         Record.__init__(self, p, n)
         base = make_field(p)
         circulant = Poly(base, (base.neg(1),) + (0,) * (n - 1) + (1,))
@@ -310,10 +315,7 @@ class GroupAlgebra(Record):
                           tuple(self.project(c) for c in rec.coeffs))
 
 
-def make_group_algebra(p: int, n: int) -> GroupAlgebra:
-    """F_p[t]/<t^n - 1>, with its field decomposition when p does not
-    divide n."""
-    return GroupAlgebra(p, n)
+make_group_algebra = GroupAlgebra
 
 
 def group_algebra_period(ga: GroupAlgebra, coeffs, s0=None) -> int:

@@ -11,7 +11,6 @@ field-only, matching the underlying theory.
 from __future__ import annotations
 
 from .errors import (
-    CapExceeded,
     ConstantPolynomial,
     InsufficientPrefix,
     LengthMismatch,
@@ -113,7 +112,7 @@ def period_bruteforce(rec: Recurrence, s0, *, budget: int | None = None) -> int:
     PERIOD_LAB_BUDGET) raises BudgetExceeded.
     """
     return walk_back(_canonical_state(rec, s0), _stepper(rec), "period",
-                     rec.ctx.size ** rec.k, CapExceeded, budget)
+                     rec.ctx.size ** rec.k, budget)
 
 
 def impulse_state(rec: Recurrence) -> tuple:
@@ -158,8 +157,7 @@ def companion_order_bruteforce(rec: Recurrence) -> int:
     k = rec.k
     identity = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     C = rec.companion_matrix()
-    return walk_back(identity, lambda M: _mat_mul(F, M, C), "matrix order",
-                     F.q ** k - 1, CapExceeded)
+    return walk_back(identity, lambda M: _mat_mul(F, M, C), "matrix order", F.q ** k - 1)
 
 
 def berlekamp_massey(field: FieldCtx, seq) -> tuple[list, int]:
@@ -223,9 +221,10 @@ def minimal_poly(field: FieldCtx, prefix, degree_bound: int) -> Poly:
 
 
 class SequenceRun(Record):
-    """A recurrence with a fixed initial state; caches the measured period."""
+    """A recurrence with a fixed initial state, the fields `recurrence` and
+    `initial`; `period` walks the state each time it is read."""
 
-    _fields = ("recurrence", "initial")
+    __slots__ = _fields = ("recurrence", "initial")
 
     def __init__(self, recurrence: Recurrence, initial: tuple):
         Record.__init__(self, recurrence, _canonical_state(recurrence, initial))
@@ -235,8 +234,4 @@ class SequenceRun(Record):
 
     @property
     def period(self) -> int:
-        # the walk is cached in the instance dict, which is not a field
-        cache = self.__dict__
-        if "_period" not in cache:
-            cache["_period"] = period_bruteforce(self.recurrence, self.initial)
-        return cache["_period"]
+        return period_bruteforce(self.recurrence, self.initial)

@@ -351,6 +351,18 @@ def test_algebra(capsys):
     assert payload["factors"] == [{"poly": "t+1", "multiplicity": 4}]
 
 
+@pytest.mark.parametrize("n", ["1048577", "99999999999999999999"])
+def test_algebra_n_past_the_degree_limit_is_a_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "algebra", "--p", "2", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == "usage error: group algebras need n <= 1048576, the polynomial degree limit\n"
+
+
+def test_algebra_degree_without_max_period_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "algebra", "--p", "2", "--n", "5", "--degree", "3")
+    assert (code, out, err) == (2, "", "usage error: --degree needs --max-period\n")
+
+
 def test_verify_scopes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "rings")
     assert code == 0

@@ -195,14 +195,14 @@ def test_order_from_multiple_splits_the_primes():
     primes: splitting them in halves passes 231 exponent bits to power,
     where dividing out one prime at a time passed 610."""
     from period_lab.ff import make_field
-    from period_lab.poly import _rpowmod
+    from period_lab.poly import _kernel
 
-    F, g = make_field(2), (1, 1) + (0,) * 58 + (1,)
+    kernel = _kernel(make_field(2), (1, 1) + (0,) * 58 + (1,))
     bits = []
 
     def power(y, e):
         bits.append(e.bit_length())
-        return _rpowmod(F, y, e, g)
+        return kernel.powmod(y, e)
 
     fac = factor_integer(2 ** 60 - 1)
     assert len(fac) == 11

@@ -52,9 +52,32 @@ def test_period_set_semantics():
     assert s == {1, 2, 3} and s == [1, 2, 3]
     assert s == PeriodSet.of([1, 2, 3])
     assert s.issubset({1, 2, 3, 4})
-    assert s.as_set() is s.as_set()  # built once, shared by `in` and ==
+    assert s.as_set() == frozenset({1, 2, 3})
     with pytest.raises(OutOfRange):
         PeriodSet.of([0, 1])
+
+
+def test_period_set_equality_agrees_with_its_hash():
+    """Equal period sets hash equally, so a dict or set keyed by one finds
+    the other; a tuple or frozenset, which hash by their own rule, is never
+    equal to a period set, from either side."""
+    s = PeriodSet.of([1, 3])
+    assert {s: "found"}[PeriodSet.of([3, 1])] == "found"
+    assert len({s, PeriodSet.of([3, 1, 3])}) == 1
+    for other in ((1, 3), (3, 1), frozenset({1, 3})):
+        assert s != other and other != s and not s == other
+    assert s == {1, 3} and s == [3, 1] and {1, 3} == s
+
+
+def test_period_set_membership_matches_the_frozenset():
+    """`in`, a binary search of the sorted values, agrees with frozenset
+    membership at, between and around every value of exact period sets."""
+    assert 1 not in PeriodSet.of([])
+    for q, k in ((2, 1), (2, 4), (3, 3), (4, 2), (5, 3), (7, 2), (9, 2), (13, 2)):
+        s = period_set_exact(k, q)
+        members = frozenset(s.values)
+        for n in {v + d for v in s.values for d in (-1, 0, 1)}:
+            assert (n in s) == (n in members), (q, k, n)
 
 
 def test_lower_bound_degree1():

@@ -28,7 +28,6 @@ from period_lab.poly import (
     _rdivmod,
     _rgcd,
     _rmul,
-    _rpowmod,
     _slot_width,
     _Slots,
     _trim,
@@ -168,7 +167,7 @@ def test_rpowmod_matches_reference_grid(field):
             for n in (0, 1, 2, q - 1, rng.getrandbits(64)):
                 if d * d * n.bit_length() > 2 ** 14:
                     continue  # the oracle's cost grows as d^2 log n
-                got = _rpowmod(field, base, n, mod)
+                got = powmod(Poly(field, base), n, Poly(field, mod)).coeffs
                 assert got == reference_powmod(field, base, n, mod), (d, base, n)
                 assert got == _trim(got) and all(0 <= c < q for c in got)
 
@@ -191,14 +190,14 @@ def test_extension_powmod_matches_reference(field, degrees):
         mod = rand(d)
         for base in ((), (0, 1), rand(max(d - 1, 0)), rand(d + 1), rand(2 * d + 3)):
             for n in (0, 1, 2, rng.getrandbits(20), 2 ** 64 + 1):
-                got = _rpowmod(field, base, n, mod)
+                got = powmod(Poly(field, base), n, Poly(field, mod)).coeffs
                 assert got == reference_powmod(field, base, n, mod), (d, base, n)
                 assert got == _trim(got) and all(0 <= c < q for c in got)
 
 
 def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
     """F_2, the other prime fields and the table fields F_16 and F_9 run
-    _rpowmod without the field's element operations.  The order of x over
+    a powmod kernel without the field's element operations.  The order of x over
     F_2 and F_7 runs uncached on a kernel built from p alone, and builds no
     field; over F_16 and F_9 the order runs uncached, on the minimal
     polynomial over F_p that _irreducible_order takes."""
@@ -223,7 +222,7 @@ def test_prime_field_powmod_makes_no_field_callbacks(monkeypatch):
         lead = F.q - 1  # a non-monic modulus: mod times the element q - 1
         scaled = tuple(plain.mul(c, lead) for c in mod)
         base, n = (1, 1, F.q - 1) * 12, 2 ** 64 + 1
-        assert _rpowmod(F, base, n, scaled) == reference_powmod(plain, base, n, scaled)
+        assert _kernel(F, scaled).powmod(base, n) == reference_powmod(plain, base, n, scaled)
 
     # factor, is_irreducible and poly_order over F_2 and F_7 as well: their
     # squarefree split, p-th roots, DDF and EDF divide and take gcds on

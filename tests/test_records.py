@@ -115,7 +115,7 @@ def test_frozen_records_hash_by_fields_and_refuse_assignment(name):
 
 def test_sequence_run_period_is_not_a_field():
     """A run that has read its period stays equal to, and hashes as, one
-    that has not; its fields refuse assignment, so the cached period cannot
+    that has not; its fields refuse assignment, so the period cannot
     disagree with them; and the period cannot be passed in."""
     build = RECORDS["SequenceRun"][0]
     run, fresh = build(), build()
@@ -130,6 +130,16 @@ def test_sequence_run_period_is_not_a_field():
     assert SequenceRun(Recurrence(F5, (1, 1)), (0, 0)).period == 1
     with pytest.raises(TypeError):
         SequenceRun(Recurrence(F5, (1, 1)), (0, 1), 5)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_hold_only_their_fields(name):
+    """Every field is a slot, and no record has an instance __dict__ in
+    which state beside its fields and derived slots could hide."""
+    a = RECORDS[name][0]()
+    slots = {s for cls in type(a).__mro__ for s in vars(cls).get("__slots__", ())}
+    assert set(a._fields) <= slots
+    assert not hasattr(a, "__dict__")
 
 
 @pytest.mark.parametrize("name", RECORDS)

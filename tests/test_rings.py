@@ -24,6 +24,7 @@ from period_lab.period_sets import (
 )
 from period_lab.poly import is_irreducible, parse_poly
 from period_lab.rings import (
+    GroupAlgebra,
     component_periods,
     component_recurrence,
     group_algebra_max_period,
@@ -266,6 +267,16 @@ def test_field_characterization():
     report = verify_field_characterization(make_product_ring([2, 3, 5]), 1)
     assert report["max_period"] == 4 and report["max_possible"] == 29
     assert report["consistent"]
+
+
+def test_group_algebra_refuses_n_past_the_degree_limit():
+    """n above 2^20, the degree limit of every polynomial, is refused before
+    the base field or t^n - 1 is built: p = 6 would fail as a field."""
+    assert make_group_algebra is GroupAlgebra
+    for n in (2 ** 20 + 1, 10 ** 20):
+        with pytest.raises(OutOfRange, match="^group algebras need n <= 1048576, "
+                                             "the polynomial degree limit$"):
+            GroupAlgebra(6, n)
 
 
 def test_group_algebra_semisimple_decomposition():

@@ -5,12 +5,16 @@ period), algebra, verify.  Every subcommand takes --format text|json|csv;
 JSON payloads carry a top-level {"schema": "period-lab/1"} key and are
 byte-identical across runs for identical inputs.
 
-Exit codes: 0 success, 1 computation error, 2 usage error.  Diagnostics
-go to standard error only, so piped output stays clean.  Each command
-reads its inputs in one `with _reading_inputs():` block, where a
-ValueError (a bad field spec, polynomial or element) becomes a
-UsageError; main maps UsageError to 2 and a ValueError, ArithmeticError
-or RuntimeError raised by the computation after it to 1.
+Each command reads its inputs in one `with _reading_inputs(args):`
+block, calls the library and returns (payload, text lines, CSV rows);
+main adds the schema and command keys and prints what --format asks for.
+The block refuses a --budget below 1 before any input is read, and turns
+a ValueError (a bad field spec, polynomial or element) into a UsageError.
+
+Exit codes: 0 success, 1 computation error or a failing `verify` check,
+2 usage error.  Diagnostics go to standard error only, so piped output
+stays clean.  main maps UsageError to 2 and a ValueError, ArithmeticError
+or RuntimeError raised by the computation to 1.
 
 Start-up is most of a small command's cost, so main builds the parser
 for the subcommand that argv names and no other (for `ring`, only the
@@ -76,21 +80,11 @@ def _split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list]):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        print(json.dumps(payload))
-    elif fmt == "csv":
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 @contextmanager
-def _reading_inputs():
-    """A ValueError raised while a command reads its inputs is a UsageError."""
+def _reading_inputs(args):
+    """Refuse a --budget below 1 before any input is read; a ValueError
+    raised while a command reads its inputs is a UsageError."""
+    _at_least(getattr(args, "budget", None), 1, "--budget")
     try:
         yield
     except ValueError as exc:
@@ -110,16 +104,13 @@ def _elements(ctx, text: str) -> tuple:
 
 # -- ord ------------------------------------------------------------------------
 
-def _run_ord(args) -> int:
-    with _reading_inputs():
+def _run_ord(args) -> tuple:
+    with _reading_inputs(args):
         field = parse_field_spec(args.field)
         f = parse_poly(field, args.poly)
-        _at_least(args.budget, 1, "--budget")
         if f.is_zero:
             raise UsageError("--poly must be a nonzero polynomial")
-    payload = {"schema": SCHEMA, "command": "ord",
-               "field": field.spec(), "poly": format_poly(f),
-               "method": args.method}
+    payload = {"field": field.spec(), "poly": format_poly(f), "method": args.method}
     text, rows = [], [["method", "order"]]
     if args.method in ("pipeline", "both"):
         result = poly_order(f)
@@ -155,20 +146,18 @@ def _run_ord(args) -> int:
         agree = payload["order"] == payload["bruteforce"]
         payload["agree"] = agree
         text.append(f"agree: {str(agree).lower()}")
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
 # -- simulate ---------------------------------------------------------------------
 
-def _run_simulate(args) -> int:
-    with _reading_inputs():
+def _run_simulate(args) -> tuple:
+    with _reading_inputs(args):
         field = parse_field_spec(args.field)
         coeffs = _elements(field, args.rec)
         init = _elements(field, args.init)
         _at_least(args.terms, 0, "--terms")
         rec = Recurrence(field, coeffs)
-        _at_least(args.budget, 1, "--budget")
         init = _canonical_state(rec, init)
     # state i of the trajectory is (a_i, ..., a_{i+k-1})
     n_states = max(args.terms, 1)
@@ -176,7 +165,7 @@ def _run_simulate(args) -> int:
     terms = seq[:args.terms]
     fmt_el = field.format_element
     payload = {
-        "schema": SCHEMA, "command": "simulate", "field": field.spec(),
+        "field": field.spec(),
         "recurrence": [fmt_el(c) for c in rec.coeffs],
         "initial": [fmt_el(s) for s in init],
         "terms": [fmt_el(t) for t in terms],
@@ -191,31 +180,27 @@ def _run_simulate(args) -> int:
     if args.trajectory:
         payload["trajectory"] = [[fmt_el(s) for s in seq[i:i + rec.k]]
                                  for i in range(n_states)]
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
 # -- minpoly -----------------------------------------------------------------------
 
-def _run_minpoly(args) -> int:
-    with _reading_inputs():
+def _run_minpoly(args) -> tuple:
+    with _reading_inputs(args):
         field = parse_field_spec(args.field)
         terms = _elements(field, args.terms)
         _at_least(args.bound, 0, "--bound")
     m = minimal_poly(field, terms, args.bound)
-    payload = {"schema": SCHEMA, "command": "minpoly", "field": field.spec(),
-               "bound": args.bound, "minimal_poly": format_poly(m)}
-    _emit(args, payload, [format_poly(m)], [["minimal_poly"], [format_poly(m)]])
-    return 0
+    payload = {"field": field.spec(), "bound": args.bound, "minimal_poly": format_poly(m)}
+    return payload, [format_poly(m)], [["minimal_poly"], [format_poly(m)]]
 
 
 # -- period-set ----------------------------------------------------------------------
 
-def _run_period_set(args) -> int:
-    with _reading_inputs():
+def _run_period_set(args) -> tuple:
+    with _reading_inputs(args):
         field = parse_field_spec(args.field)
         _at_least(args.degree, 1, "--degree")
-        _at_least(args.budget, 1, "--budget")
     k, q = args.degree, field.q
     methods = ["closed", "bound", "bruteforce"] if args.method == "all" else [args.method]
     sets = {}
@@ -228,8 +213,7 @@ def _run_period_set(args) -> int:
             sets[method] = list(period_set_exact(k, q, budget=args.budget))
         else:
             sets[method] = list(order_set_bruteforce(field, k, budget=args.budget))
-    base = {"schema": SCHEMA, "command": "period-set",
-            "q": q, "p": field.p, "e": field.e, "k": k}
+    base = {"q": q, "p": field.p, "e": field.e, "k": k}
     if args.method == "all":
         payload = dict(base, method="all", sets=sets,
                        equal=len({tuple(v) for v in sets.values()}) == 1)
@@ -246,28 +230,25 @@ def _run_period_set(args) -> int:
             rows += [[method, v] for v in vals]
     else:
         rows += [[v] for v in sets[args.method]]
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
 # -- ring -------------------------------------------------------------------------
 
 def _product_ring(text: str):
     specs = _split_top_level(text)
-    if not specs or specs == [""]:
+    if specs == [""]:
         raise UsageError("--components must list at least one field")
     return make_product_ring(specs)
 
 
-def _run_ring_period_set(args) -> int:
-    with _reading_inputs():
+def _run_ring_period_set(args) -> tuple:
+    with _reading_inputs(args):
         ring = _product_ring(args.components)
         _at_least(args.degree, 1, "--degree")
-        _at_least(args.budget, 1, "--budget")
     k = args.degree
     component_sets, combined = ring_period_sets(ring, k, budget=args.budget)
     payload = {
-        "schema": SCHEMA, "command": "ring-period-set",
         "components": [c.spec() for c in ring.components], "k": k,
         "component_period_sets": [list(s) for s in component_sets],
         "period_set": list(combined),
@@ -277,12 +258,11 @@ def _run_ring_period_set(args) -> int:
         text.append(f"component {c.spec()}: " + " ".join(str(v) for v in s))
     text.append("ring: " + " ".join(str(v) for v in combined))
     rows = [["period"]] + [[v] for v in combined]
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
-def _run_ring_period(args) -> int:
-    with _reading_inputs():
+def _run_ring_period(args) -> tuple:
+    with _reading_inputs(args):
         ring = _product_ring(args.components)
         coeffs = _elements(ring, args.rec)
         init = _elements(ring, args.init)
@@ -291,7 +271,6 @@ def _run_ring_period(args) -> int:
     cpers = component_periods(rec, init)
     period = lcm64(*cpers)
     payload = {
-        "schema": SCHEMA, "command": "ring-period",
         "components": [c.spec() for c in ring.components],
         "recurrence": [ring.format_element(c) for c in rec.coeffs],
         "initial": [ring.format_element(s) for s in init],
@@ -309,22 +288,20 @@ def _run_ring_period(args) -> int:
         rows.append(["simulated", walked])
     text.append(f"period: {period}")
     rows.append(["lcm", period])
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
 # -- algebra ------------------------------------------------------------------------
 
-def _run_algebra(args) -> int:
-    with _reading_inputs():
+def _run_algebra(args) -> tuple:
+    with _reading_inputs(args):
         _at_least(args.n, 2, "--n")
         _at_least(args.degree, 1, "--degree")
         if args.degree is not None and not args.max_period:
             raise UsageError("--degree needs --max-period")
         ga = GroupAlgebra(args.p, args.n)
-        _at_least(args.budget, 1, "--budget")
     payload = {
-        "schema": SCHEMA, "command": "algebra", "p": ga.p, "n": ga.n,
+        "p": ga.p, "n": ga.n,
         "factors": [
             {"poly": format_poly(f, variable="t"), "multiplicity": m}
             for f, m in ga.factors
@@ -354,16 +331,15 @@ def _run_algebra(args) -> int:
         payload["max_period"] = maxp
         text.append(f"max period (degree {k}): {maxp}")
         rows.append([f"max_period_degree_{k}", maxp])
-    _emit(args, payload, text, rows)
-    return 0
+    return payload, text, rows
 
 
 # -- verify -------------------------------------------------------------------------
 
-def _run_verify_cmd(args) -> int:
+def _run_verify_cmd(args) -> tuple:
     report = run_verify(args.scope)
     payload = {
-        "schema": SCHEMA, "command": "verify", "scope": args.scope,
+        "scope": args.scope,
         "checks": [
             {"name": c.name, "scope": c.scope, "claim": c.claim,
              "expected": c.expected, "computed": c.computed, "pass": c.passed}
@@ -383,8 +359,7 @@ def _run_verify_cmd(args) -> int:
     rows = [["name", "scope", "pass"]] + [
         [c.name, c.scope, str(c.passed).lower()] for c in report.checks
     ]
-    _emit(args, payload, text, rows)
-    return 0 if report.passed else 1
+    return payload, text, rows
 
 
 # -- parser wiring ---------------------------------------------------------------------
@@ -542,7 +517,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(_command_path(argv)).parse_args(argv)
     try:
-        return args.run(args)
+        payload, text, rows = args.run(args)
+        if args.format == "json":
+            command = "-".join(filter(None, (args.command, getattr(args, "ring_command", None))))
+            text = [json.dumps({"schema": SCHEMA, "command": command, **payload})]
+        elif args.format == "csv":
+            text = [",".join(map(str, row)) for row in rows]
+        for line in text:
+            print(line)
+        return 1 if payload.get("passed") is False else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

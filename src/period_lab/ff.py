@@ -31,6 +31,7 @@ from .errors import (
 from .intfactor import factor_integer, is_prime, order_from_multiple
 
 MAX_CHARACTERISTIC = 1 << 20
+_MAX_EXPONENT = 1 << 20  # the degree limit of a polynomial and of a field extension
 _LOG_TABLE_LIMIT = 4096  # exp/log tables for extension fields up to this order
 _ADD_TABLE_LIMIT = 256   # full addition table below this (odd characteristic)
 
@@ -331,7 +332,7 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 def make_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
-    """Construct F_{p^e}.
+    """Construct F_{p^e}, e at most 2^20 (the degree limit of a polynomial).
 
     If e > 1 and no modulus is supplied, the lexicographically smallest
     monic irreducible of degree e over F_p is chosen; a supplied modulus
@@ -346,6 +347,8 @@ def make_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
         raise CompositeCharacteristic(f"{p} is not prime")
     if not isinstance(e, int) or e < 1:
         raise OutOfRange(f"extension degree must be a positive integer, got {e!r}")
+    if e > _MAX_EXPONENT:
+        raise OutOfRange(f"extension degree {e} exceeds the {_MAX_EXPONENT} degree limit")
     if e == 1:
         if modulus is not None:
             raise DegreeMismatch("prime fields take no modulus")
@@ -365,7 +368,7 @@ def make_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
 def parse_field_spec(text: str) -> FieldCtx:
     """Parse "p", "p^e", or "p^e/<poly>" into a field context."""
     text = text.strip()
-    head, _, poly_text = text.partition("/")
+    head, slash, poly_text = text.partition("/")
     try:
         if "^" in head:
             p_text, _, e_text = head.partition("^")
@@ -379,7 +382,7 @@ def parse_field_spec(text: str) -> FieldCtx:
         if len(fac) == 1:
             base, exp = fac[0]
             raise ParseError(f"{p} is not prime; write {base}^{exp} for the extension field")
-    if not poly_text:
+    if not slash:
         return make_field(p, e)
     from .poly import parse_poly
 

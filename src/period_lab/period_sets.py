@@ -273,9 +273,12 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     if budget is None:
         budget = default_budget()
     q = field.q
-    total = q ** k
-    if total > budget:
-        raise BudgetExceeded(f"{total} polynomials exceed the budget {budget}")
+    # q >= 2, so q^b > budget for b its bit length, and q^63 > INT64_MAX:
+    # neither test builds q^k for a large k
+    if q ** min(k, budget.bit_length()) > budget:
+        total = q ** min(k, 63)
+        shown = total if total <= INT64_MAX else f"{q}^{k}"
+        raise BudgetExceeded(f"{shown} polynomials exceed the budget {budget}")
     boost = [_char_boost(field.p, m)[1] for m in range(k + 1)]
     marks = [None] + [bytearray(q ** d) for d in range(1, k + 1)]
     # stored[a]: the products of degree a that a later irreducible can

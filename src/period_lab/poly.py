@@ -48,11 +48,10 @@ from .errors import (
     Record,
     ZeroPolynomial,
 )
-from .ff import FieldCtx, _clmod, _clmul, _square_multiply
+from .ff import _MAX_EXPONENT, FieldCtx, _clmod, _clmul, _square_multiply
 from .intfactor import factor_integer
 
 _EDF_SEED = 1  # the equal-degree split's random source; factor sorts its output
-_MAX_EXPONENT = 1 << 20  # parse_poly refuses a larger exponent before allocating
 
 
 # -- raw coefficient-tuple arithmetic (hot paths) -----------------------------

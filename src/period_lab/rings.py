@@ -30,10 +30,10 @@ from .errors import (
     Record,
     default_budget,
 )
-from .ff import FieldCtx, make_field, parse_field_spec
+from .ff import _MAX_EXPONENT, FieldCtx, make_field, parse_field_spec
 from .intfactor import INT64_MAX, lcm64, split_prime_power
 from .period_sets import PeriodSet, divisors, period_set_exact, set_product
-from .poly import _MAX_EXPONENT, Poly, _mk, _trim, factor, gcd as poly_gcd
+from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
 
 

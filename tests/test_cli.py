@@ -161,6 +161,34 @@ def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("argv", BUDGETED,
+                         ids=lambda argv: " ".join(w for w in argv[:2] if w[0] != "-"))
+def test_budget_is_checked_before_any_input_is_read(monkeypatch, capsys, argv):
+    def read(*_):
+        raise AssertionError("an input was read before --budget was checked")
+
+    for reader in ("parse_field_spec", "make_product_ring", "GroupAlgebra"):
+        monkeypatch.setattr(cli, reader, read)
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert (code, out, err) == (2, "", "usage error: --budget must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("ord", "--field", "2^99999999999", "--poly", "x"), 2,
+     "usage error: extension degree 99999999999 exceeds the 1048576 degree limit"),
+    (("ord", "--field", "2^3/", "--poly", "x"), 2, "usage error: empty polynomial"),
+    (("period-set", "--field", "2", "--degree", "30000", "--method", "bruteforce"), 1,
+     "error: 2^30000 polynomials exceed the budget 1000000"),
+], ids=("huge extension degree", "empty modulus", "huge brute-force count"))
+def test_huge_and_empty_inputs_fail_in_the_programs_words(monkeypatch, capsys, argv,
+                                                          code, line):
+    monkeypatch.delenv("PERIOD_LAB_BUDGET", raising=False)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out, err) == (code, "", line + "\n")
+    for word in ("Traceback", "MemoryError", "set_int_max_str_digits"):
+        assert word not in err
+
+
 def test_ring_period_walks_stop_at_the_budget_env():
     # degree 40: each component walk would run up to 2^40 steps unbudgeted
     argv = ["ring", "period", "--components", "2", "--rec", "1," + "0," * 38 + "1",

@@ -39,6 +39,18 @@ def test_make_field_basics():
     assert F4.q == 4
 
 
+def test_make_field_refuses_an_extension_past_the_degree_limit(monkeypatch):
+    """The limit is checked before the default modulus is searched for."""
+    from period_lab import ff
+
+    def searched(p, e):
+        raise AssertionError("searched for a default modulus")
+
+    monkeypatch.setattr(ff, "_default_modulus", searched)
+    with pytest.raises(OutOfRange, match=r"^extension degree 1048577 exceeds the 1048576 degree limit$"):
+        make_field(2, 2**20 + 1)
+
+
 def test_make_field_errors():
     with pytest.raises(CompositeCharacteristic):
         make_field(6)
@@ -327,6 +339,8 @@ def test_field_spec_roundtrip():
         parse_field_spec("6")
     with pytest.raises(ParseError):
         parse_field_spec("a^2")
+    with pytest.raises(ParseError, match="^empty polynomial$"):
+        parse_field_spec("2^3/")  # a '/' with no modulus after it
 
 
 def test_field_identity_and_pickle():

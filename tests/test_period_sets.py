@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from period_lab import period_sets
@@ -138,6 +140,20 @@ def test_order_set_bruteforce_references():
         order_set_bruteforce(F2, 4, budget=10)
     with pytest.raises(OutOfRange):
         order_set_bruteforce(F2, 0)
+
+
+def test_order_set_bruteforce_refuses_a_huge_count_without_building_it():
+    """q^k past 2^63 - 1 is named, not built: at k = 10^11 building it
+    would take minutes and gigabytes."""
+    F2, F3 = make_field(2), make_field(3)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^2\^100000000000 polynomials exceed the budget 10$"):
+        order_set_bruteforce(F2, 10**11, budget=10)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(BudgetExceeded, match=r"^4052555153018976267 polynomials "):
+        order_set_bruteforce(F3, 39, budget=10)  # 3^39 < 2^63 - 1 < 3^40
+    with pytest.raises(BudgetExceeded, match=r"^3\^40 polynomials "):
+        order_set_bruteforce(F3, 40, budget=10)
 
 
 def _per_polynomial_orders(field, k):

@@ -10,6 +10,10 @@ block, calls the library and returns (payload, text lines, CSV rows);
 main adds the schema and command keys and prints what --format asks for.
 The block refuses a --budget below 1 before any input is read, and turns
 a ValueError (a bad field spec, polynomial or element) into a UsageError.
+Comma lists (--rec, --init, --terms, --components) split at the commas
+outside [...] coordinate lists, by the scanner that splits a polynomial
+into terms (poly._split_outside_brackets), so unbalanced brackets fail
+in its words in either.
 
 Exit codes: 0 success, 1 computation error or a failing `verify` check,
 2 usage error.  Diagnostics go to standard error only, so piped output
@@ -39,7 +43,7 @@ from .period_sets import (
     period_set_exact,
     period_set_lower_bound,
 )
-from .poly import format_poly, parse_poly
+from .poly import _split_outside_brackets, format_poly, parse_poly
 from .rings import (
     GroupAlgebra,
     component_periods,
@@ -63,23 +67,6 @@ class UsageError(Exception):
     """Bad input values (field specs, polynomials, flag combinations)."""
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not inside [...] coordinate lists."""
-    parts, buf, depth = [], "", 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(buf)
-            buf = ""
-        else:
-            buf += ch
-    parts.append(buf)
-    return [p.strip() for p in parts]
-
-
 @contextmanager
 def _reading_inputs(args):
     """Refuse a --budget below 1 before any input is read; a ValueError
@@ -99,7 +86,7 @@ def _at_least(value, low: int, flag: str) -> None:
 
 def _elements(ctx, text: str) -> tuple:
     """The comma-separated elements of a field or ring."""
-    return tuple(ctx.parse_element(s) for s in _split_top_level(text))
+    return tuple(ctx.parse_element(s.strip()) for _, s in _split_outside_brackets(text, ","))
 
 
 # -- ord ------------------------------------------------------------------------
@@ -236,7 +223,7 @@ def _run_period_set(args) -> tuple:
 # -- ring -------------------------------------------------------------------------
 
 def _product_ring(text: str):
-    specs = _split_top_level(text)
+    specs = [s.strip() for _, s in _split_outside_brackets(text, ",")]
     if specs == [""]:
         raise UsageError("--components must list at least one field")
     return make_product_ring(specs)

@@ -6,10 +6,11 @@ IndexError for bad component indices, and OverflowError when a result
 would leave the 64-bit range the library guarantees.
 
 The work budget lives here too, next to BudgetExceeded: every budgeted
-route reads budget=None as default_budget().  Every brute-force walk (the
-state shift of a recurrence, h <- x*h mod g, M <- M*C) runs in walk_back:
-it stops after min(provable cap, budget) steps, raising BudgetExceeded
-past the budget and LimitExceeded ("bug?") past the cap.
+route resolves its budget argument by default_budget(budget), which reads
+None as the default.  Every brute-force walk (the state shift of a
+recurrence, h <- x*h mod g, M <- M*C) runs in walk_back: it stops after
+min(provable cap, budget) steps, raising BudgetExceeded past the budget
+and LimitExceeded ("bug?") past the cap.
 
 Record, the base of the package's result records, lives here as well, so
 that every module can use it without importing dataclasses.
@@ -98,9 +99,12 @@ class BudgetExceeded(RuntimeError):
     """An enumeration, lcm closure or state walk would exceed its work budget."""
 
 
-def default_budget() -> int:
-    """The work budget of a call that names none: $PERIOD_LAB_BUDGET, else
-    DEFAULT_BUDGET.  A value that is not an integer >= 1 is refused."""
+def default_budget(budget: int | None = None) -> int:
+    """The work budget of a call: `budget` when it names one, else
+    $PERIOD_LAB_BUDGET, else DEFAULT_BUDGET.  An environment value that is
+    not an integer >= 1 is refused."""
+    if budget is not None:
+        return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -118,8 +122,7 @@ def walk_back(start, step, what: str, cap: int, budget: int | None = None) -> in
     value).  Walks at most min(cap, budget) steps: past the provable `cap`
     it raises LimitExceeded, past `budget` (None: default_budget())
     BudgetExceeded."""
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     x = start
     for n in range(1, min(cap, budget) + 1):
         x = step(x)

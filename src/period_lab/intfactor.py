@@ -177,6 +177,15 @@ def lcm64(*values: int) -> int:
     return out
 
 
+def _mul64(a: int, b: int, what: str) -> int:
+    """a * b, or OverflowError naming `what` if it leaves the 64-bit range.
+    lcm64 checks inline instead: it runs once per pair of an lcm closure."""
+    out = a * b
+    if out > INT64_MAX:
+        raise OverflowError(f"{what} exceeds the 64-bit range")
+    return out
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^e with p prime, or raise NotPrimePower."""
     if q < 2:

@@ -39,6 +39,7 @@ from .intfactor import (
     INT64_MAX,
     _check_ceiling,
     _divisors,
+    _mul64,
     divisor_list,
     factor_integer,
     split_prime_power,
@@ -101,25 +102,13 @@ def set_scale(a: int, s: PeriodSet) -> PeriodSet:
     """{a*x for x in s}, overflow-checked."""
     if a < 1:
         raise OutOfRange("scale factor must be positive")
-    out = []
-    for x in s:
-        v = a * x
-        if v > INT64_MAX:
-            raise OverflowError("scaled period exceeds the 64-bit range")
-        out.append(v)
-    return PeriodSet(tuple(out))  # order preserved: a*x is monotone
+    # order preserved: a*x is monotone
+    return PeriodSet(tuple(_mul64(a, x, "scaled period") for x in s))
 
 
 def set_product(s1: PeriodSet, s2: PeriodSet) -> PeriodSet:
     """{x*y for x in s1, y in s2}, overflow-checked."""
-    out = set()
-    for x in s1:
-        for y in s2:
-            v = x * y
-            if v > INT64_MAX:
-                raise OverflowError("period product exceeds the 64-bit range")
-            out.add(v)
-    return PeriodSet.of(out)
+    return PeriodSet.of({_mul64(x, y, "period product") for x in s1 for y in s2})
 
 
 def set_union(*sets) -> PeriodSet:
@@ -191,8 +180,7 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     if k < 1:
         raise OutOfRange("degree must be >= 1")
     _check_ceiling(k, q)
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     p, _ = split_prime_power(q)
     formed = 0
     # reachable value -> (least degree, bitmask of the plain types' degrees)
@@ -270,8 +258,7 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     """
     if k < 1:
         raise OutOfRange("degree must be >= 1")
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     q = field.q
     # q >= 2, so q^b > budget for b its bit length, and q^63 > INT64_MAX:
     # neither test builds q^k for a large k

@@ -29,7 +29,10 @@ Text grammar (CLI-facing):
     term  := coeff | coeff '*' var | coeff '*' var '^' exp | var | var '^' exp
 with integer coefficients (reduced mod p) over prime fields and bracketed
 little-endian coordinate lists over extension fields; whitespace is
-ignored and 't' is accepted as an alias for 'x'.
+ignored and 't' is accepted as an alias for 'x'.  _split_outside_brackets
+finds the signs between terms, and the commas of the CLI's lists, that
+sit outside [...] coordinate lists; unbalanced brackets anywhere in the
+text are a ParseError, reported before a sign or a term is looked at.
 """
 
 from __future__ import annotations
@@ -793,40 +796,43 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(field: FieldCtx, text: str) -> Poly:
-    """Parse the polynomial text grammar over the given field."""
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty polynomial")
-    # split into signed terms, ignoring signs inside coordinate brackets
-    terms: list[tuple[int, str]] = []
-    sign, buf, depth = 1, "", 0
-    pending_sign = False
-    for ch in s:
+def _split_outside_brackets(text: str, seps: str) -> list[tuple[str, str]]:
+    """The parts of text between the characters of seps that sit outside
+    [...] coordinate lists, each as (separator before it, part); the first
+    part's separator is "".  Unbalanced brackets anywhere are a ParseError."""
+    parts, depth, start, sep = [], 0, 0, ""
+    for i, ch in enumerate(text):
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
             if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if ch in "+-" and depth == 0:
-            if buf:
-                terms.append((sign, buf))
-                buf = ""
-            elif terms or pending_sign:
-                raise ParseError(f"dangling sign in {text!r}")
-            sign = 1 if ch == "+" else -1
-            pending_sign = True
-            continue
-        buf += ch
-    if depth != 0:
+                break
+        elif ch in seps and not depth:
+            parts.append((sep, text[start:i]))
+            sep, start = ch, i + 1
+    if depth:
         raise ParseError(f"unbalanced brackets in {text!r}")
-    if not buf:
+    parts.append((sep, text[start:]))
+    return parts
+
+
+def parse_poly(field: FieldCtx, text: str) -> Poly:
+    """Parse the polynomial text grammar over the given field."""
+    if not text.strip():
+        raise ParseError("empty polynomial")
+    terms = []
+    for sign, part in _split_outside_brackets(text, "+-"):
+        term = "".join(part.split())
+        if terms and not terms[-1][1]:  # a sign with no term after it
+            raise ParseError(f"dangling sign in {text!r}")
+        if term or sign:
+            terms.append((sign, term))
+    if not terms[-1][1]:
         raise ParseError(f"trailing sign in {text!r}")
-    terms.append((sign, buf))
 
     acc: dict[int, int] = {}
-    for sgn, term in terms:
+    for sign, term in terms:
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ParseError(f"bad term {term!r} in {text!r}")
@@ -849,7 +855,7 @@ def parse_poly(field: FieldCtx, text: str) -> Poly:
                 shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
                 raise ParseError(f"exponent {shown} exceeds the {_MAX_EXPONENT} degree limit")
             exp = int(digits)
-        if sgn < 0:
+        if sign == "-":
             c = field.neg(c)
         acc[exp] = field.add(acc.get(exp, 0), c)
     cs = [0] * (max(acc) + 1)

@@ -31,7 +31,7 @@ from .errors import (
     default_budget,
 )
 from .ff import _MAX_EXPONENT, FieldCtx, make_field, parse_field_spec
-from .intfactor import INT64_MAX, lcm64, split_prime_power
+from .intfactor import _mul64, lcm64, split_prime_power
 from .period_sets import PeriodSet, divisors, period_set_exact, set_product
 from .poly import Poly, _mk, _trim, factor, gcd as poly_gcd
 from .sequences import Recurrence, impulse_state, period_bruteforce
@@ -157,8 +157,7 @@ def lcm_closure(sets, *, budget: int | None = None) -> PeriodSet:
     sets = list(sets)
     if not sets:
         raise OutOfRange("lcm closure of no sets")
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     closure = set(sets[0])
     for s in sets[1:]:
         pairs = len(closure) * len(s)
@@ -196,9 +195,7 @@ def max_period_bound(ring: ProductRing, k: int) -> int:
     """prod(q_i^k - 1): an upper bound for every degree-k period."""
     out = 1
     for c in ring.components:
-        out *= c.q ** k - 1
-        if out > INT64_MAX:
-            raise OverflowError("period bound exceeds the 64-bit range")
+        out = _mul64(out, c.q ** k - 1, "period bound")
     return out
 
 
@@ -356,6 +353,8 @@ def group_algebra_max_period(ga: GroupAlgebra, k: int, *,
 def sample_recurrence(ga: GroupAlgebra, k: int, seed: int = 0) -> tuple:
     """A reproducible pseudorandom unit-c_0 recurrence over the algebra;
     c_0 is drawn uniformly from the units by rejection."""
+    if k < 1:
+        raise OutOfRange("recurrence degree must be >= 1")
     rng = random.Random(seed)
 
     def draw():

@@ -96,6 +96,8 @@ def _stepper(rec: Recurrence):
 
 def generate(rec: Recurrence, s0, count: int) -> list:
     """First `count` terms of the sequence from initial state s0."""
+    if count < 0:
+        raise OutOfRange("term count must be >= 0")
     state = _canonical_state(rec, s0)
     step = _stepper(rec)
     out = []

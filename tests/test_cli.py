@@ -60,6 +60,26 @@ def test_usage_errors_exit_2(capsys):
     assert "6" in err
     code, _, err = run_cli(capsys, "ord", "--field", "2", "--poly", "x^^2")
     assert code == 2
+    # polynomials and comma lists share one bracket scanner
+    assert run_cli(capsys, "ord", "--field", "5", "--poly=-x+1")[:2] == (0, "1\n")
+    simulate = ("simulate", "--field", "2^2", "--init", "1", "--terms", "3", "--rec")
+    for argv, line in (
+        (("ord", "--field", "2^2", "--poly", "x+-1"), "dangling sign in 'x+-1'"),
+        (("ord", "--field", "2^2", "--poly=--x"), "dangling sign in '--x'"),
+        (("ord", "--field", "2^2", "--poly", "x+"), "trailing sign in 'x+'"),
+        (("ord", "--field", "2^2", "--poly", "[1,0"), "unbalanced brackets in '[1,0'"),
+        (("ord", "--field", "2^2", "--poly", "]x"), "unbalanced brackets in ']x'"),
+        (("ord", "--field", "2^2", "--poly", "x+[1,[0]]"), "bad term '[1,[0]]' in 'x+[1,[0]]'"),
+        ((*simulate, "[1,0"), "unbalanced brackets in '[1,0'"),
+        ((*simulate, "[1, 0"), "unbalanced brackets in '[1, 0'"),
+        ((*simulate, "[1,0], ]"), "unbalanced brackets in '[1,0], ]'"),
+        (("ring", "period-set", "--components", "2,[3", "--degree", "2"),
+         "unbalanced brackets in '2,[3'"),
+        # list items are stripped before they are read
+        (("ring", "period", "--components", "2,3", "--rec", " 1|1|1 , 1", "--init", "1"),
+         "expected 2 '|'-separated parts in '1|1|1'"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"usage error: {line}\n"), argv
     # argparse rejects unknown flags with exit code 2
     with pytest.raises(SystemExit) as exc:
         main(["ord", "--field", "2", "--poly", "x", "--bogus"])
@@ -135,6 +155,7 @@ def test_budget_env_below_one_is_refused(monkeypatch, capsys, raw):
     monkeypatch.setenv("PERIOD_LAB_BUDGET", raw)
     with pytest.raises(OutOfRange, match=f"^bad PERIOD_LAB_BUDGET value '{raw}'$"):
         default_budget()
+    assert default_budget(7) == 7  # a budget that is given is not read from the environment
     code, _, err = run_cli(capsys, "simulate", "--field", "5", "--rec", "1,1",
                            "--init", "0,1", "--terms", "2", "--period")
     assert code == 1 and err == f"error: bad PERIOD_LAB_BUDGET value '{raw}'\n"
@@ -411,6 +432,16 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL always-wrong (")
     assert out.splitlines()[1:] == ["     expected 1", "     computed 2", "0/1 checks passed"]
+
+
+def test_pipeline_check_fails_when_brute_force_disagrees(monkeypatch):
+    # a brute-force order one too high on x^2+x+1 over F_2 and nowhere else
+    brute = verify.poly_order_bruteforce
+    monkeypatch.setattr(verify, "poly_order_bruteforce",
+                        lambda f: brute(f) + (f.field.q == 2 and str(f) == "x^2+x+1"))
+    check, = (c for c in verify.run_verify("orders").checks
+              if c.name == "pipeline-vs-bruteforce")
+    assert (check.passed, check.expected, check.computed) == (False, "[]", "['x^2+x+1']")
 
 
 def test_verify_refuses_an_unknown_scope():

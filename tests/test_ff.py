@@ -347,6 +347,7 @@ def test_field_identity_and_pickle():
     F9a = make_field(3, 2)
     F9b = make_field(3, 2)
     assert F9a == F9b and hash(F9a) == hash(F9b)
+    assert F9a != "3^2" and F9a.__eq__(9) is NotImplemented
     assert F9a.modulus == (1, 0, 1)  # x^2+1 comes first in counting order
     assert F9a != make_field(3, 2, (2, 1, 1))  # x^2+x+2 is a different model
     clone = pickle.loads(pickle.dumps(F9a))

@@ -3,6 +3,7 @@ import pytest
 from period_lab.errors import NotPrimePower, OutOfRange
 from period_lab.intfactor import (
     INT64_MAX,
+    _ceiling_degree,
     divisor_list,
     euler_phi,
     factor_integer,
@@ -105,6 +106,18 @@ def test_factor_past_the_small_primes():
             prod *= p ** e
         assert prod == n
         assert list(fac) == sorted(fac)
+
+
+def test_ceiling_degree_matches_an_integer_search():
+    # every prime power q = p^e <= 2^63 with p < 100: the largest k with q^k <= 2^63
+    for p in (n for n in range(2, 100) if naive_factor(n) == ((n, 1),)):
+        q = p
+        while q <= 1 << 63:
+            k = 0
+            while q ** (k + 1) <= 1 << 63:
+                k += 1
+            assert _ceiling_degree(q) == k, q
+            q *= p
 
 
 def test_factor_range_errors():

@@ -40,8 +40,10 @@ def test_set_combinators():
     assert set_product(divisors(2), divisors(6)) == {1, 2, 3, 4, 6, 12}
     assert set_scale(1, divisors(6)) == divisors(6)
     assert set_union(divisors(2), divisors(3)) == {1, 2, 3}
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="^scaled period exceeds the 64-bit range$"):
         set_scale(2 ** 62, divisors(6))
+    with pytest.raises(OverflowError, match="^period product exceeds the 64-bit range$"):
+        set_product(divisors(2 ** 62), divisors(2))
     with pytest.raises(OutOfRange, match="scale factor must be positive"):
         set_scale(0, divisors(6))
 

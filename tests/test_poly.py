@@ -74,6 +74,9 @@ def test_arithmetic_reference_products():
     assert g * h - h == parse_poly(F2, "x^5+x^4+x^3+x")
     assert -lin == parse_poly(F5, "3-x") and lin - lin == Poly.zero(F5)
     assert (g * h + Poly.one(F2)) // g == h
+    assert lin.scale(0) == Poly.zero(F5) and lin.scale(2) == parse_poly(F5, "2*x-1")
+    assert lin.shift(2) == parse_poly(F5, "x^3-3*x^2")
+    assert Poly.zero(F5).shift(2) == Poly.zero(F5)
 
 
 def test_divmod_identity_random():
@@ -92,8 +95,14 @@ def test_divmod_identity_random():
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         divmod(Poly.one(F2), Poly.zero(F2))
+    for F in (F2, F5):  # the packed kernels refuse the zero divisor too
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            _kdivmod(F, (1, 1), ())
     with pytest.raises(MixedContexts):
         Poly.one(F2) + Poly.one(F3)
+    with pytest.raises(TypeError, match="^expected Poly, got int$"):
+        Poly.one(F2) + 1
+    assert Poly.x(F2) != "x" and not Poly.x(F2) == "x"
 
 
 def test_gcd_properties():
@@ -119,6 +128,7 @@ def test_eval_and_derivative():
     assert f.derivative() == parse_poly(F5, "3*x^2+2")
     # characteristic kills the x^p term
     assert parse_poly(F5, "x^5+x").derivative() == Poly.one(F5)
+    assert Poly.constant(F5, 3).derivative() == Poly.zero(F5)
 
 
 def test_powmod():
@@ -459,6 +469,7 @@ def test_is_irreducible_matches_trial_division_sampled():
 def test_factor_reference_decompositions():
     fac = factor(parse_poly(F2, "x^5+x^4+1"))
     assert [(str(g), m) for g, m in fac] == [("x^2+x+1", 1), ("x^3+x+1", 1)]
+    assert len(fac) == 2 and fac.expand() == parse_poly(F2, "x^5+x^4+1")
     fac = factor(parse_poly(F2, "t^5+1"))  # t alias; 1 = -1 over F_2
     assert [(str(g), m) for g, m in fac] == [("x+1", 1), ("x^4+x^3+x^2+x+1", 1)]
     assert is_irreducible(parse_poly(F2, "x^4+x^3+x^2+x+1"))
@@ -568,6 +579,24 @@ def test_parse_grammar():
     for bad in ("", "x+", "+", "--x", "x^", "y+1", "[1,2", "x*2", "2**x"):
         with pytest.raises(ParseError):
             parse_poly(F5 if "[" not in bad else F4, bad)
+    # signs and brackets, split by one scanner; messages name the text as given
+    assert parse_poly(F5, " + x") == parse_poly(F5, "x") and parse_poly(F5, "-1") == Poly(F5, (4,))
+    for bad, message in (
+        ("x+-1", "dangling sign in 'x+-1'"),
+        ("--x", "dangling sign in '--x'"),
+        ("x + - 1", "dangling sign in 'x + - 1'"),
+        ("x+", "trailing sign in 'x+'"),
+        ("x -", "trailing sign in 'x -'"),
+        ("[1,0", "unbalanced brackets in '[1,0'"),
+        ("[1, 0", "unbalanced brackets in '[1, 0'"),
+        ("]x", "unbalanced brackets in ']x'"),
+        ("x+[1,[0]]", "bad term '[1,[0]]' in 'x+[1,[0]]'"),
+        ("x + 2 y", "bad term '2y' in 'x + 2 y'"),
+        ("  ", "empty polynomial"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(F4, bad)
+        assert str(exc.value) == message
 
 
 def test_parse_refuses_huge_exponents():

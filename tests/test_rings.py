@@ -252,7 +252,7 @@ def test_max_period_bound():
     assert max_period_bound(make_product_ring([2, 3, 5]), 1) == 8
     for q in (2, 5):
         assert max_period_bound(make_product_ring([q]), 3) == q ** 3 - 1
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="^period bound exceeds the 64-bit range$"):
         max_period_bound(make_product_ring([2 ** 19 - 1] * 4), 4)
 
 
@@ -381,6 +381,14 @@ def test_sample_recurrence_draws_units_without_listing_them(monkeypatch):
         assert len(coeffs) == 3 and all(len(c) == 20 for c in coeffs)
         assert ga.is_unit(coeffs[0])
         assert sample_recurrence(ga, 3, seed=seed) == coeffs
+
+
+def test_sample_recurrence_refuses_a_degree_below_one():
+    ga = make_group_algebra(2, 3)
+    assert len(sample_recurrence(ga, 1)) == 1
+    for k in (0, -2):
+        with pytest.raises(OutOfRange, match="^recurrence degree must be >= 1$"):
+            sample_recurrence(ga, k)
 
 
 @pytest.mark.parametrize("make, same, other", [

@@ -6,6 +6,7 @@ import pytest
 from period_lab.errors import (
     BudgetExceeded,
     CapExceeded,
+    ConstantPolynomial,
     InsufficientPrefix,
     LengthMismatch,
     LimitExceeded,
@@ -16,6 +17,7 @@ from period_lab.errors import (
 from period_lab.ff import make_field
 from period_lab.orders import poly_order
 from period_lab.poly import Poly, parse_poly
+from period_lab.rings import make_product_ring
 from period_lab.sequences import (
     Recurrence,
     SequenceRun,
@@ -83,6 +85,14 @@ def test_generate_length_mismatch():
         generate(rec, (0, 1, 1), 4)
 
 
+def test_generate_refuses_a_negative_count():
+    rec = Recurrence(F2, (1, 1))
+    assert generate(rec, (0, 1), 0) == []
+    for count in (-1, -5):
+        with pytest.raises(OutOfRange, match="^term count must be >= 0$"):
+            generate(rec, (0, 1), count)
+
+
 def test_recurrence_unit_constraint():
     with pytest.raises(NonUnitCoefficient):
         Recurrence(F5, (0, 1))
@@ -133,6 +143,9 @@ def test_char_poly():
     assert Recurrence(F5, (1, 1)).char_poly() == parse_poly(F5, "x^2-x-1")
     assert Recurrence(F2, (1, 0, 0, 0, 1)).char_poly() == parse_poly(F2, "x^5+x^4+1")
     assert Recurrence(F3, (1,)).char_poly() == parse_poly(F3, "x-1")
+    ring = make_product_ring([2, 3])
+    with pytest.raises(TypeError, match="^this operation needs a field-valued recurrence$"):
+        Recurrence(ring, ((1, 1),)).char_poly()
 
 
 def test_from_char_poly_roundtrip():
@@ -141,6 +154,8 @@ def test_from_char_poly_roundtrip():
         assert Recurrence.from_char_poly(rec.char_poly()) == rec
     with pytest.raises(NonUnitCoefficient):
         Recurrence.from_char_poly(parse_poly(F5, "x^2+x"))
+    with pytest.raises(ConstantPolynomial):
+        Recurrence.from_char_poly(Poly.constant(F5, 3))
 
 
 def test_impulse_response_period():

@@ -148,7 +148,8 @@ def _run_simulate(args) -> tuple:
         init = _canonical_state(rec, init)
     # state i of the trajectory is (a_i, ..., a_{i+k-1})
     n_states = max(args.terms, 1)
-    seq = generate(rec, init, max(args.terms, n_states + rec.k - 1))
+    count = n_states + rec.k - 1 if args.trajectory else args.terms
+    seq = generate(rec, init, count, budget=args.budget)
     terms = seq[:args.terms]
     fmt_el = field.format_element
     payload = {

@@ -16,10 +16,12 @@ coefficients of a's minimal polynomial.  _irreducible_order is where F_p
 takes over: over an extension field it replaces g by the minimal
 polynomial M of a over F_p (the product of the conjugates of g under
 c -> c^p), and _order_by_key computes and caches the order of x modulo M
-under (p, M) on the packed prime-field kernel of M, which
-poly._prime_kernel builds from p alone, so the conjugates of g share one
-entry and no F_p object is made.  Every product here runs on a kernel
-built for the one modulus it serves; this module reads no field tables.
+on a packed prime-field kernel, which poly._prime_kernel builds from p
+alone, so the conjugates of g share one entry and no F_p object is made.
+A root and its inverse have one order, so the entry and its kernel are
+keyed on the smaller of M and its monic reciprocal M*, whose roots are
+the inverses of M's.  Every product here runs on a kernel built for the
+one modulus it serves; this module reads no field tables.
 """
 
 from __future__ import annotations
@@ -116,13 +118,23 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     The 64-bit ceiling is checked first, on the caller's (d, q).  Over an
     extension field the modulus becomes its minimal polynomial M over F_p
     (_prime_field_minimal_poly), of degree s*d with p^(s*d) - 1 dividing
-    q^d - 1; over F_p, M is g.  The order is cached under (p, M), with M
-    as bytes when p <= 256, so the s conjugates of g share one entry."""
+    q^d - 1; over F_p, M is g.  The roots of the monic reciprocal
+    M* = x^deg(M) * M(1/x) / M(0) are the inverses of the roots of M, and
+    a root and its inverse have one order, so the order is cached under
+    (p, min(M, M*)), with the key as bytes when p <= 256: the s conjugates
+    of g, and their reciprocals, share one entry.  M* is M reversed, and
+    over odd p scaled by 1/M(0)."""
     _check_ceiling(len(coeffs) - 1, field.q)
     if field.e > 1:
         coeffs = _prime_field_minimal_poly(field, coeffs)
     p = field.p
-    return _order_by_key(p, bytes(coeffs) if p <= 256 else coeffs)
+    star = coeffs[::-1]
+    c0 = coeffs[0]
+    if c0 != 1:
+        inv = pow(c0, -1, p)
+        star = tuple(c * inv % p for c in star)
+    key = min(coeffs, star)
+    return _order_by_key(p, bytes(key) if p <= 256 else key)
 
 
 def irreducible_order(g: Poly) -> int:

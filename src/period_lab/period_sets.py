@@ -237,7 +237,10 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     Degree by degree, d = 1..k, the pass walks monic_polys, whose i-th
     polynomial has the base-q index i, and marks every product it builds
     in a bytearray by that index.  So an unmarked polynomial of degree d
-    with g(0) != 0 is irreducible, and its order of x is computed.  Each
+    with g(0) != 0 is irreducible, and its order of x is taken from
+    _irreducible_order, which computes it once per class of minimal
+    polynomials over F_p and their reciprocals (over F_13 at k = 3, 413
+    orders for the 818 irreducibles) and looks the rest up.  Each
     stored product u is then extended by g to u * g^j, of order
     lcm(L_u, ord g) * p^t: L_u is the lcm of the orders of u's factors,
     and p^t the least power of p >= the top multiplicity (Lidl &

@@ -11,12 +11,14 @@ field-only, matching the underlying theory.
 from __future__ import annotations
 
 from .errors import (
+    BudgetExceeded,
     ConstantPolynomial,
     InsufficientPrefix,
     LengthMismatch,
     NonUnitCoefficient,
     OutOfRange,
     Record,
+    default_budget,
     walk_back,
 )
 from .ff import FieldCtx
@@ -94,10 +96,17 @@ def _stepper(rec: Recurrence):
     return step
 
 
-def generate(rec: Recurrence, s0, count: int) -> list:
-    """First `count` terms of the sequence from initial state s0."""
+def generate(rec: Recurrence, s0, count: int, *, budget: int | None = None) -> list:
+    """First `count` terms of the sequence from initial state s0.
+
+    A count above `budget` steps (default 10^6, or PERIOD_LAB_BUDGET)
+    raises BudgetExceeded before any term is built.
+    """
     if count < 0:
         raise OutOfRange("term count must be >= 0")
+    budget = default_budget(budget)
+    if count > budget:
+        raise BudgetExceeded(f"{count} terms exceed the budget {budget}")
     state = _canonical_state(rec, s0)
     step = _stepper(rec)
     out = []

@@ -18,7 +18,7 @@ import itertools as it
 import time
 from functools import lru_cache
 
-from .errors import Record
+from .errors import Record, walk_back
 from .ff import make_field
 from .intfactor import is_prime, split_prime_power
 from .orders import poly_order, poly_order_bruteforce
@@ -44,6 +44,7 @@ from .rings import (
 )
 from .sequences import (
     Recurrence,
+    _stepper,
     generate,
     impulse_response_period,
     impulse_state,
@@ -269,20 +270,26 @@ def _check_ring_fibonacci():
 
 def _exhaustive_periods(ring, k):
     """Periods of every unit-c0 recurrence of degree k over the ring, from
-    every state.  The state map permutes the states, so each cycle is
-    walked once and the states on it are skipped."""
+    every state.  The state map permutes the states, so the states fall
+    into cycles: each cycle is walked once, by walk_back (capped at |R|^k
+    steps and at the default budget) with a step that marks each state it
+    leaves, and the marked states are skipped as starts.  So every state
+    is stepped exactly once per recurrence."""
     reached = set()
+    cap = ring.size ** k
     for coeffs in it.product(ring.elements(), repeat=k):
         if not ring.is_unit(coeffs[0]):
             continue
-        rec = Recurrence(ring, coeffs)
+        step = _stepper(Recurrence(ring, coeffs))
         seen = set()
+
+        def mark(state):
+            seen.add(state)
+            return step(state)
+
         for s0 in it.product(ring.elements(), repeat=k):
             if s0 not in seen:
-                period = period_bruteforce(rec, s0)
-                terms = generate(rec, s0, period + k - 1)
-                seen.update(tuple(terms[i:i + k]) for i in range(period))
-                reached.add(period)
+                reached.add(walk_back(s0, mark, "period", cap))
     return reached
 
 

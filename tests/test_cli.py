@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -134,6 +135,22 @@ def test_budget_bounds_walks_and_closures(monkeypatch, capsys):
                  ("algebra", "--p", "2", "--n", "3", "--max-period", "--degree", "63")):
         code, _, err = run_cli(capsys, *argv)  # default budget, here 19
         assert code == 1 and err.endswith(" candidate periods exceed the budget 19\n"), argv
+
+
+def test_simulate_terms_are_bounded_by_the_budget(monkeypatch, capsys):
+    """simulate refuses --terms above --budget before any term is built;
+    with --trajectory it builds k - 1 terms more, and counts them."""
+    monkeypatch.delenv("PERIOD_LAB_BUDGET", raising=False)
+    simulate = ("simulate", "--field", "2", "--rec", "1,1", "--init", "0,1")
+    code, out, err = run_cli(capsys, *simulate, "--terms", "99999999999999")
+    assert (code, out, err) == (1, "", "error: 99999999999999 terms exceed the budget "
+                                       "1000000\n")
+    code, _, err = run_cli(capsys, *simulate, "--terms", "5", "--budget", "4")
+    assert code == 1 and err == "error: 5 terms exceed the budget 4\n"
+    code, out, _ = run_cli(capsys, *simulate, "--terms", "5", "--budget", "5")
+    assert code == 0 and out == "0 1 1 0 1\n"
+    code, _, err = run_cli(capsys, *simulate, "--terms", "5", "--budget", "5", "--trajectory")
+    assert code == 1 and err == "error: 6 terms exceed the budget 5\n"
 
 
 def test_bad_budget_env_only_fails_budgeted_routes(monkeypatch, capsys):
@@ -442,6 +459,36 @@ def test_pipeline_check_fails_when_brute_force_disagrees(monkeypatch):
     check, = (c for c in verify.run_verify("orders").checks
               if c.name == "pipeline-vs-bruteforce")
     assert (check.passed, check.expected, check.computed) == (False, "[]", "['x^2+x+1']")
+
+
+@pytest.mark.parametrize("ring, k, periods", [
+    (rings.make_product_ring([2, 3]), 1, [1, 2]),
+    (rings.make_product_ring([2, 3]), 2, [1, 2, 3, 4, 6, 8, 12, 24]),
+    (rings.GroupAlgebra(2, 2), 2, [1, 2, 3, 4, 6]),
+])
+def test_exhaustive_walk_steps_each_state_once(monkeypatch, ring, k, periods):
+    """_exhaustive_periods walks each cycle once: over every unit-c0
+    recurrence of degree k, every state is stepped exactly once, counted
+    on the state maps of both verify and sequences."""
+    stepper, steps = sequences._stepper, {}
+
+    def counting(rec):
+        step = stepper(rec)
+
+        def counted(state):
+            key = (rec.coeffs, state)
+            steps[key] = steps.get(key, 0) + 1
+            return step(state)
+        return counted
+
+    # verify's own name too, where it has one: a walk through
+    # period_bruteforce or generate is counted on sequences'
+    monkeypatch.setattr(sequences, "_stepper", counting)
+    monkeypatch.setattr(verify, "_stepper", counting, raising=False)
+    assert sorted(verify._exhaustive_periods(ring, k)) == periods
+    states = list(itertools.product(ring.elements(), repeat=k))
+    units = [c for c in states if ring.is_unit(c[0])]
+    assert steps == {(c, s): 1 for c in units for s in states}
 
 
 def test_verify_refuses_an_unknown_scope():

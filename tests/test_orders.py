@@ -243,11 +243,43 @@ def test_irreducible_conjugates_share_one_order(e, d):
             assert [poly_order_bruteforce(h) for h in conj] == found
 
 
+def reciprocal(g):
+    """The monic reciprocal x^d * g(1/x) / g(0) of g, d = deg g."""
+    return Poly(g.field, g.coeffs[::-1]).monic()
+
+
+def prime_field_minimal_poly(g):
+    """The coefficients over F_p of the product of the conjugates of g."""
+    m = Poly.one(g.field)
+    for h in conjugates(g):
+        m = m * h
+    return m.coeffs
+
+
+def reciprocal_class(g):
+    """The minimal polynomial M over F_p of a root of g and the reciprocal
+    of M, as a set of coefficient tuples: the roots of g and their inverses."""
+    m = prime_field_minimal_poly(g)
+    return frozenset({m, reciprocal(Poly(make_field(g.field.p), m)).coeffs})
+
+
+def irreducibles(F, top):
+    """The monic irreducibles of degree 1..top over F other than x."""
+    return [g for d in range(1, top + 1) for g in monic_polys(F, d)
+            if g.constant_term and is_irreducible(g)]
+
+
 def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
     """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
-    have 381 minimal polynomials over F_2, and order_set_bruteforce finds
-    the order of x once for each, as one _order_by_key miss; the cache is
+    have 381 minimal polynomials over F_2, which pair with their
+    reciprocals into 196 classes, and order_set_bruteforce finds the order
+    of x once for each class, as one _order_by_key miss; the cache is
     keyed on the int p."""
+    F16 = make_field(2, 4)
+    found = irreducibles(F16, 3)
+    minimal = {prime_field_minimal_poly(g) for g in found}
+    classes = {reciprocal_class(g) for g in found}
+    assert (len(found), len(minimal), len(classes)) == (1495, 381, 196)
     order_by_key, primes = orders._order_by_key, set()
 
     def spy_key(p, key):
@@ -256,10 +288,41 @@ def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypa
 
     monkeypatch.setattr(orders, "_order_by_key", spy_key)
     order_by_key.cache_clear()
-    assert order_set_bruteforce(make_field(2, 4), 3) == period_set_closed_form(3, 16)
+    assert order_set_bruteforce(F16, 3) == period_set_closed_form(3, 16)
     info = order_by_key.cache_info()
-    assert (info.misses, info.currsize) == (381, 381)
+    assert (info.misses, info.currsize) == (len(classes), len(classes))
     assert primes == {int}
+
+
+# (p, e, top): every degree d <= top has q^d <= 2^12
+@pytest.mark.parametrize("p,e,top", [(2, 1, 12), (3, 1, 7), (2, 2, 6), (5, 1, 5), (3, 2, 3)])
+def test_reciprocals_share_one_order(p, e, top):
+    """A root and its inverse have one order, so g and its monic
+    reciprocal g* do: for every monic irreducible g over F_q with
+    g(0) != 0 and q^d <= 2^12, self-reciprocal ones included, the order
+    of x modulo g and modulo g*, each with the cache cleared first, is the
+    walk's order for g.  Over all of them the cache takes one miss per
+    class {M, M*} of minimal polynomials over F_p and their reciprocals."""
+    F = make_field(p, e)
+    found = irreducibles(F, top)
+    done, selves = set(), 0
+    for g in found:
+        if g in done:
+            continue
+        star = reciprocal(g)
+        done.update((g, star))
+        selves += star == g
+        want = poly_order_bruteforce(g)
+        for h in (g, star):
+            _order_by_key.cache_clear()
+            assert irreducible_order(h) == want, (str(g), str(h))
+    assert done == set(found) and selves >= 1
+    classes = {reciprocal_class(g) for g in found}
+    _order_by_key.cache_clear()
+    for g in found:
+        irreducible_order(g)
+    info = _order_by_key.cache_info()
+    assert (info.misses, info.hits) == (len(classes), len(found) - len(classes))
 
 
 def test_irreducible_order_divides_group_order():

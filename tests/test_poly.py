@@ -401,8 +401,9 @@ def test_kernel_check_catches_mutants(monkeypatch, mutant):
 
 def test_each_routine_builds_its_kernel_once(monkeypatch):
     """No cache holds kernels: is_irreducible of a degree-20 irreducible g
-    over F_3 builds one kernel, and poly_order(g) builds two on g, DDF's
-    and the order of x's, both from p by _prime_kernel."""
+    over F_3 builds one kernel, and poly_order(g) builds two, both from p
+    by _prime_kernel: DDF's on g, and the order of x's on the smaller of g
+    and its monic reciprocal g* = x^20 * g(1/x) / g(0)."""
     assert not hasattr(_kernel, "cache_info")
     rng = random.Random(20)
     while True:
@@ -421,7 +422,8 @@ def test_each_routine_builds_its_kernel_once(monkeypatch):
     built.clear()
     _order_by_key.cache_clear()
     poly_order(g)
-    assert built == [g.coeffs, g.coeffs]
+    star = Poly(F3, g.coeffs[::-1]).monic()
+    assert star != g and built == [g.coeffs, min(g.coeffs, star.coeffs)]
 
 
 def test_pow_matches_repeated_multiplication():

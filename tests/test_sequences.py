@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from period_lab import sequences
 from period_lab.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -91,6 +92,23 @@ def test_generate_refuses_a_negative_count():
     for count in (-1, -5):
         with pytest.raises(OutOfRange, match="^term count must be >= 0$"):
             generate(rec, (0, 1), count)
+
+
+def test_generate_refuses_a_count_above_the_budget(monkeypatch):
+    """A count above the budget is refused before any term is built, in
+    words naming the count and the budget; a count at the budget runs."""
+    rec = Recurrence(F2, (1, 1))
+    assert generate(rec, (0, 1), 5, budget=5) == [0, 1, 1, 0, 1]
+    monkeypatch.setattr(sequences, "_stepper", None)  # no walk may start
+    monkeypatch.delenv("PERIOD_LAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded, match="^6 terms exceed the budget 5$"):
+        generate(rec, (0, 1), 6, budget=5)
+    with pytest.raises(BudgetExceeded,
+                       match="^99999999999999 terms exceed the budget 1000000$"):
+        generate(rec, (0, 1), 99999999999999)
+    monkeypatch.setenv("PERIOD_LAB_BUDGET", "3")
+    with pytest.raises(BudgetExceeded, match="^4 terms exceed the budget 3$"):
+        generate(rec, (0, 1), 4)
 
 
 def test_recurrence_unit_constraint():

@@ -38,7 +38,6 @@ from .period_sets import (
     period_set_lower_bound,
     set_product,
     set_scale,
-    set_union,
 )
 from .poly import (
     Factorization,
@@ -50,7 +49,6 @@ from .poly import (
     monic_polys,
     parse_poly,
     powmod,
-    xgcd,
 )
 from .rings import (
     GroupAlgebra,
@@ -72,7 +70,6 @@ from .sequences import (
     Recurrence,
     SequenceRun,
     berlekamp_massey,
-    companion_order_bruteforce,
     generate,
     impulse_response_period,
     impulse_state,
@@ -88,14 +85,14 @@ __all__ = [
     "FieldCtx", "make_field", "parse_field_spec", "MAX_CHARACTERISTIC",
     "factor_integer", "divisor_list", "euler_phi", "is_prime", "lcm64",
     "split_prime_power", "INT64_MAX",
-    "Poly", "Factorization", "factor", "gcd", "xgcd", "powmod",
+    "Poly", "Factorization", "factor", "gcd", "powmod",
     "is_irreducible", "monic_polys", "parse_poly", "format_poly",
     "OrderResult", "FactorContribution", "poly_order",
     "poly_order_bruteforce", "irreducible_order", "strip_x_power",
     "Recurrence", "SequenceRun", "generate", "period_bruteforce",
     "impulse_state", "impulse_response_period",
-    "companion_order_bruteforce", "berlekamp_massey", "minimal_poly",
-    "PeriodSet", "divisors", "set_scale", "set_product", "set_union",
+    "berlekamp_massey", "minimal_poly",
+    "PeriodSet", "divisors", "set_scale", "set_product",
     "period_set_lower_bound", "period_set_closed_form", "period_set_exact",
     "order_set_bruteforce", "DEFAULT_BUDGET",
     "ProductRing", "make_product_ring", "component_recurrence",

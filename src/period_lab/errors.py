@@ -8,7 +8,7 @@ would leave the 64-bit range the library guarantees.
 The work budget lives here too, next to BudgetExceeded: every budgeted
 route resolves its budget argument by default_budget(budget), which reads
 None as the default.  Every brute-force walk (the state shift of a
-recurrence, h <- x*h mod g, M <- M*C) runs in walk_back: it stops after
+recurrence, h <- x*h mod g) runs in walk_back: it stops after
 min(provable cap, budget) steps, raising BudgetExceeded past the budget
 and LimitExceeded ("bug?") past the cap.
 
@@ -88,11 +88,7 @@ class ParseError(ValueError):
 
 class LimitExceeded(RuntimeError):
     """A brute-force search or walk passed its provable bound (a state walk
-    its total state count, an order walk q^d - 1); indicates a bug.  Also
-    named CapExceeded."""
-
-
-CapExceeded = LimitExceeded
+    its total state count, an order walk q^d - 1); indicates a bug."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -18,10 +18,15 @@ polynomial M of a over F_p (the product of the conjugates of g under
 c -> c^p), and _order_by_key computes and caches the order of x modulo M
 on a packed prime-field kernel, which poly._prime_kernel builds from p
 alone, so the conjugates of g share one entry and no F_p object is made.
-A root and its inverse have one order, so the entry and its kernel are
-keyed on the smaller of M and its monic reciprocal M*, whose roots are
-the inverses of M's.  Every product here runs on a kernel built for the
-one modulus it serves; this module reads no field tables.
+A root and its inverse have one order, and over odd p the order of -a
+follows from the order o of a: in a field, -1 is the only element of
+order 2, so for even o, -a = a^(1 + o/2), of order o/2 when o = 2
+(mod 4) and o when 4 | o, and for odd o, -1 is not in <a> and -a has
+order 2o.  So the entry and its kernel are keyed on the least of M, its
+monic reciprocal M* (the inverses of M's roots), M- = (-1)^deg(M) M(-x)
+(their negatives) and M-*, and an order keyed on M- or M-* is mapped
+back.  Every product here runs on a kernel built for the one modulus it
+serves; this module reads no field tables.
 """
 
 from __future__ import annotations
@@ -112,6 +117,20 @@ def _order_by_key(p: int, key) -> int:
                                k.power, lambda y: y == one)
 
 
+def _negated_order(o: int) -> int:
+    """The order of -a from the order o of a, in a field of odd
+    characteristic: 2o for odd o, o/2 for o = 2 (mod 4), o when 4 | o.
+
+    -1 is the only element of order 2, so for even o, a^(o/2) = -1 and
+    -a = a^(1 + o/2), whose order is o / gcd(1 + o/2, o): 1 + o/2 is odd,
+    and prime to o/2, so the gcd is 2 when o/2 is odd and 1 when it is
+    even.  For odd o, -1 is not in <a>, so (-a)^n = 1 needs n even and
+    a^n = 1, and the order is 2o.  The map is an involution."""
+    if o & 1:
+        return 2 * o
+    return o >> 1 if o & 3 == 2 else o
+
+
 def _irreducible_order(field, coeffs: tuple) -> int:
     """Order of x modulo the monic irreducible `coeffs` over field = F_q.
 
@@ -120,21 +139,35 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     (_prime_field_minimal_poly), of degree s*d with p^(s*d) - 1 dividing
     q^d - 1; over F_p, M is g.  The roots of the monic reciprocal
     M* = x^deg(M) * M(1/x) / M(0) are the inverses of the roots of M, and
-    a root and its inverse have one order, so the order is cached under
-    (p, min(M, M*)), with the key as bytes when p <= 256: the s conjugates
-    of g, and their reciprocals, share one entry.  M* is M reversed, and
-    over odd p scaled by 1/M(0)."""
+    a root and its inverse have one order.  Over odd p the roots of
+    M- = (-1)^deg(M) * M(-x) are the negatives of M's, whose order follows
+    from M's by _negated_order, and M-* is the reciprocal of M-.  So the
+    order is cached under (p, min(M, M*, M-, M-*)), with the key as bytes
+    when p <= 256: the s conjugates of g, their reciprocals and their
+    negatives share one entry, and an order keyed on M- or M-* is mapped
+    back.  M* is M reversed, over odd p scaled by 1/M(0); M- is M with
+    the coefficients of x^(deg - 1), x^(deg - 3), ... negated.  Over F_2,
+    -1 = 1 and the key is min(M, M*)."""
     _check_ceiling(len(coeffs) - 1, field.q)
     if field.e > 1:
         coeffs = _prime_field_minimal_poly(field, coeffs)
     p = field.p
+    if p == 2:
+        return _order_by_key(2, bytes(min(coeffs, coeffs[::-1])))
+    coeffs = list(coeffs)
     star = coeffs[::-1]
     c0 = coeffs[0]
     if c0 != 1:
         inv = pow(c0, -1, p)
-        star = tuple(c * inv % p for c in star)
-    key = min(coeffs, star)
-    return _order_by_key(p, bytes(key) if p <= 256 else key)
+        star = [c * inv % p for c in star]
+    neg, negstar = coeffs[:], star[:]
+    neg[-2::-2] = [p - c if c else 0 for c in coeffs[-2::-2]]
+    negstar[-2::-2] = [p - c if c else 0 for c in star[-2::-2]]
+    plus, minus = min(coeffs, star), min(neg, negstar)
+    negated = minus < plus
+    key = minus if negated else plus
+    order = _order_by_key(p, bytes(key) if p <= 256 else tuple(key))
+    return _negated_order(order) if negated else order
 
 
 def irreducible_order(g: Poly) -> int:

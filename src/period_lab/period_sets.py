@@ -111,13 +111,6 @@ def set_product(s1: PeriodSet, s2: PeriodSet) -> PeriodSet:
     return PeriodSet.of({_mul64(x, y, "period product") for x in s1 for y in s2})
 
 
-def set_union(*sets) -> PeriodSet:
-    out = set()
-    for s in sets:
-        out.update(s)
-    return PeriodSet.of(out)
-
-
 def _divisor_union(q: int, parts) -> PeriodSet:
     """The union of a * D(q^i - 1) over the (i, (a, ...)) of parts."""
     vals = set()
@@ -239,12 +232,13 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     in a bytearray by that index.  So an unmarked polynomial of degree d
     with g(0) != 0 is irreducible, and its order of x is taken from
     _irreducible_order, which computes it once per class of minimal
-    polynomials over F_p and their reciprocals (over F_13 at k = 3, 413
-    orders for the 818 irreducibles) and looks the rest up.  Each
-    stored product u is then extended by g to u * g^j, of order
-    lcm(L_u, ord g) * p^t: L_u is the lcm of the orders of u's factors,
-    and p^t the least power of p >= the top multiplicity (Lidl &
-    Niederreiter, Thm 3.8).
+    polynomials over F_p, their reciprocals and their negatives (over
+    F_13 at k = 3, 210 orders for the 818 irreducibles) and looks the
+    rest up.  Each stored product u is then extended by g to u * g^j, of
+    order lcm(L_u, ord g) * p^t: L_u is the lcm of the orders of u's
+    factors, and p^t the least power of p >= the top multiplicity (Lidl &
+    Niederreiter, Thm 3.8).  At d = k the only stored product is 1, so g
+    adds only its own order: no product is built or marked.
 
     Each polynomial is reached once, by unique factorization: with its
     irreducible factors in walk order (by degree, then index), it is
@@ -283,6 +277,9 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
                 continue
             g = f.coeffs
             e = _irreducible_order(field, g)
+            if not keep:  # degree k: 1 * g is g, of order e, and nothing follows
+                orders.add(e)
+                continue
             for a, n in enumerate([len(bucket) for bucket in stored]):
                 for u, lcm_u, top in islice(stored[a], n):
                     lcm_w = math.lcm(lcm_u, e)

@@ -575,24 +575,6 @@ def gcd(f: Poly, g: Poly) -> Poly:
     return _mk(f.field, _rgcd(f.field, f.coeffs, g.coeffs))
 
 
-def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) with d = gcd monic and u*f + v*g = d."""
-    f._check(g)
-    F = f.field
-    r0, r1 = f.coeffs, g.coeffs
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _rdivmod(F, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _rsub(F, u0, _rmul(F, q, u1))
-        v0, v1 = v1, _rsub(F, v0, _rmul(F, q, v1))
-    if r0 and r0[-1] != 1:
-        c = F.inv(r0[-1])
-        r0, u0, v0 = _rscale(F, c, r0), _rscale(F, c, u0), _rscale(F, c, v0)
-    return _mk(F, r0), _mk(F, u0), _mk(F, v0)
-
-
 def powmod(base: Poly, n: int, mod: Poly) -> Poly:
     """base^n reduced mod `mod`, by square-and-multiply on a kernel of
     (field, mod) built for this call (see _kernel); a unit modulus reduces

@@ -171,13 +171,15 @@ def _check_minimal_poly_degree5():
 
 @_check("pipeline-vs-bruteforce", "orders",
         "factorization pipeline = brute-force order for all monic f, "
-        "deg <= 3 over F_2/F_3/F_4, deg <= 2 over F_9")
+        "deg <= 3 over F_2/F_3/F_4/F_5, deg <= 2 over F_8/F_9")
 def _check_oracle_agreement():
-    # every monic polynomial of degree 1..3 over F_2, F_3 and F_4, and of
-    # degree 1..2 over F_9: the extension fields take the order of each
-    # irreducible factor over the prime field
+    # every monic polynomial of degree 1..3 over F_2, F_3, F_4 and F_5, and
+    # of degree 1..2 over F_8 and F_9: the extension fields take the order
+    # of each irreducible factor over the prime field, F_8 through three
+    # conjugates; over F_5 an order may be keyed on the negated minimal
+    # polynomial in every degree
     mismatches = []
-    for q, top in ((2, 3), (3, 3), (4, 3), (9, 2)):
+    for q, top in ((2, 3), (3, 3), (4, 3), (5, 3), (8, 2), (9, 2)):
         field = make_field(*split_prime_power(q))
         for k in range(1, top + 1):
             for f in monic_polys(field, k):

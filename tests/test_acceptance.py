@@ -27,13 +27,14 @@ from period_lab.rings import (
 )
 from period_lab.sequences import (
     Recurrence,
-    companion_order_bruteforce,
     generate,
     impulse_response_period,
     impulse_state,
     minimal_poly,
     period_bruteforce,
 )
+
+from oracles import companion_order_bruteforce
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
 

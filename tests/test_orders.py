@@ -1,3 +1,4 @@
+import functools
 import importlib
 import pkgutil
 import random
@@ -248,6 +249,13 @@ def reciprocal(g):
     return Poly(g.field, g.coeffs[::-1]).monic()
 
 
+def negative(g):
+    """(-1)^d * g(-x), d = deg g: the monic polynomial whose roots are the
+    negatives of g's."""
+    F, d = g.field, g.degree
+    return Poly(F, [F.neg(c) if (d - i) % 2 else c for i, c in enumerate(g.coeffs)])
+
+
 def prime_field_minimal_poly(g):
     """The coefficients over F_p of the product of the conjugates of g."""
     m = Poly.one(g.field)
@@ -256,11 +264,12 @@ def prime_field_minimal_poly(g):
     return m.coeffs
 
 
-def reciprocal_class(g):
-    """The minimal polynomial M over F_p of a root of g and the reciprocal
-    of M, as a set of coefficient tuples: the roots of g and their inverses."""
-    m = prime_field_minimal_poly(g)
-    return frozenset({m, reciprocal(Poly(make_field(g.field.p), m)).coeffs})
+def order_class(g):
+    """The minimal polynomial M over F_p of a root a of g, with M*, M- and
+    M-*, as a set of coefficient tuples: the roots of g, their inverses
+    and their negatives (over F_2, M- = M)."""
+    m = Poly(make_field(g.field.p), prime_field_minimal_poly(g))
+    return frozenset(h.coeffs for h in (m, reciprocal(m), negative(m), reciprocal(negative(m))))
 
 
 def irreducibles(F, top):
@@ -269,17 +278,15 @@ def irreducibles(F, top):
             if g.constant_term and is_irreducible(g)]
 
 
-def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
-    """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
-    have 381 minimal polynomials over F_2, which pair with their
-    reciprocals into 196 classes, and order_set_bruteforce finds the order
-    of x once for each class, as one _order_by_key miss; the cache is
-    keyed on the int p."""
-    F16 = make_field(2, 4)
-    found = irreducibles(F16, 3)
-    minimal = {prime_field_minimal_poly(g) for g in found}
-    classes = {reciprocal_class(g) for g in found}
-    assert (len(found), len(minimal), len(classes)) == (1495, 381, 196)
+@functools.cache
+def walked_order(g):
+    """poly_order_bruteforce(g), walked once per polynomial in a session."""
+    return poly_order_bruteforce(g)
+
+
+def count_order_misses(monkeypatch, field, k):
+    """The _order_by_key misses and entries of order_set_bruteforce(field, k)
+    from a cleared cache, and the set of types of the p it is keyed on."""
     order_by_key, primes = orders._order_by_key, set()
 
     def spy_key(p, key):
@@ -288,10 +295,33 @@ def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypa
 
     monkeypatch.setattr(orders, "_order_by_key", spy_key)
     order_by_key.cache_clear()
-    assert order_set_bruteforce(F16, 3) == period_set_closed_form(3, 16)
+    assert order_set_bruteforce(field, k) == period_set_closed_form(k, field.q)
     info = order_by_key.cache_info()
-    assert (info.misses, info.currsize) == (len(classes), len(classes))
-    assert primes == {int}
+    return info.misses, info.currsize, primes
+
+
+def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
+    """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
+    have 381 minimal polynomials over F_2, which pair with their
+    reciprocals into 196 classes (over F_2, M- = M), and
+    order_set_bruteforce finds the order of x once for each class, as one
+    _order_by_key miss; the cache is keyed on the int p."""
+    F16 = make_field(2, 4)
+    found = irreducibles(F16, 3)
+    minimal = {prime_field_minimal_poly(g) for g in found}
+    classes = {order_class(g) for g in found}
+    assert (len(found), len(minimal), len(classes)) == (1495, 381, 196)
+    assert count_order_misses(monkeypatch, F16, 3) == (196, 196, {int})
+
+
+def test_order_set_bruteforce_computes_one_order_per_plus_minus_class(monkeypatch):
+    """Over F_13 the 818 monic irreducibles of degree <= 3 other than x
+    fall into 210 classes {M, M*, M-, M-*}, and order_set_bruteforce finds
+    the order of x once for each class."""
+    F13 = make_field(13)
+    found = irreducibles(F13, 3)
+    assert (len(found), len({order_class(g) for g in found})) == (818, 210)
+    assert count_order_misses(monkeypatch, F13, 3) == (210, 210, {int})
 
 
 # (p, e, top): every degree d <= top has q^d <= 2^12
@@ -302,7 +332,8 @@ def test_reciprocals_share_one_order(p, e, top):
     g(0) != 0 and q^d <= 2^12, self-reciprocal ones included, the order
     of x modulo g and modulo g*, each with the cache cleared first, is the
     walk's order for g.  Over all of them the cache takes one miss per
-    class {M, M*} of minimal polynomials over F_p and their reciprocals."""
+    class {M, M*, M-, M-*} of minimal polynomials over F_p, their
+    reciprocals and their negatives: 133 over F_3 at degree <= 7."""
     F = make_field(p, e)
     found = irreducibles(F, top)
     done, selves = set(), 0
@@ -312,17 +343,60 @@ def test_reciprocals_share_one_order(p, e, top):
         star = reciprocal(g)
         done.update((g, star))
         selves += star == g
-        want = poly_order_bruteforce(g)
+        want = walked_order(g)
         for h in (g, star):
             _order_by_key.cache_clear()
             assert irreducible_order(h) == want, (str(g), str(h))
     assert done == set(found) and selves >= 1
-    classes = {reciprocal_class(g) for g in found}
+    classes = {order_class(g) for g in found}
+    assert (p, e, top) != (3, 1, 7) or len(classes) == 133
     _order_by_key.cache_clear()
     for g in found:
         irreducible_order(g)
     info = _order_by_key.cache_info()
     assert (info.misses, info.hits) == (len(classes), len(found) - len(classes))
+
+
+def test_negated_order_pins():
+    """ord(-a) from ord(a) = o: 2o for odd o, o/2 for o = 2 (mod 4), o
+    when 4 | o; an involution."""
+    assert [orders._negated_order(o) for o in (1, 2, 3, 4, 5, 6, 8, 12)] == [2, 1, 6, 4, 10, 3, 8, 12]
+    assert all(orders._negated_order(orders._negated_order(o)) == o for o in range(1, 200))
+
+
+# (p, e, top): the odd fields up to F_27, each to the top degree with q^d <= 2^12
+PLUS_MINUS_GRID = [(3, 1, 7), (5, 1, 5), (7, 1, 4), (3, 2, 3), (13, 1, 3), (5, 2, 2), (3, 3, 2)]
+
+
+def plus_minus_mismatches(p, e, top):
+    """For every monic irreducible g over F_{p^e} of degree <= top with
+    g(0) != 0, the members h of g, g*, g- and g-* whose order of x, taken
+    with the cache cleared first, differs from the walk's order of h."""
+    out = []
+    for g in irreducibles(make_field(p, e), top):
+        for h in (g, reciprocal(g), negative(g), reciprocal(negative(g))):
+            _order_by_key.cache_clear()
+            if irreducible_order(h) != walked_order(h):
+                out.append(str(h))
+    return out
+
+
+@pytest.mark.parametrize("p,e,top", PLUS_MINUS_GRID,
+                         ids=[f"F{p ** e}" for p, e, _ in PLUS_MINUS_GRID])
+def test_plus_minus_class_orders_match_the_walk(p, e, top):
+    """Over odd p the order cache keys the class {M, M*, M-, M-*} and maps
+    an order keyed on M- or M-* through _negated_order; every member of
+    every class gets the walk's order, whichever member is the key."""
+    assert plus_minus_mismatches(p, e, top) == []
+
+
+def test_plus_minus_grid_fails_without_the_negated_order(monkeypatch):
+    """With ord(-a) taken as ord(a) the grid fails on every field, already
+    at degree 1: x + 2 over F_3, keyed on x + 1 (order 2), would get
+    order 2 in place of 1."""
+    monkeypatch.setattr(orders, "_negated_order", lambda o: o)
+    assert plus_minus_mismatches(3, 1, 1) == ["x+2"] * 4
+    assert all(plus_minus_mismatches(p, e, 1) for p, e, _ in PLUS_MINUS_GRID)
 
 
 def test_irreducible_order_divides_group_order():

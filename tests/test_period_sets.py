@@ -22,9 +22,15 @@ from period_lab.period_sets import (
     period_set_lower_bound,
     set_product,
     set_scale,
-    set_union,
 )
 from period_lab.poly import is_irreducible, monic_polys, parse_poly
+
+
+def set_union(*sets) -> PeriodSet:
+    out = set()
+    for s in sets:
+        out.update(s)
+    return PeriodSet.of(out)
 
 
 def test_divisors():
@@ -216,8 +222,9 @@ def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top)
     degree d <= k with f(0) != 0 once: the irreducibles whose order of x it
     takes, and the products of two or more factors that it builds with
     _rmul, number q^d - q^(d-1) in each degree d.  The irreducibles number
-    (1/d) * sum over e | d of mu(e) q^(d/e) (Gauss), less x at d = 1, and
-    the pass also builds each of them once, as 1 * g."""
+    (1/d) * sum over e | d of mu(e) q^(d/e) (Gauss), less x at d = 1.
+    Below degree k the pass also builds each of them once, as 1 * g, to
+    extend it to its powers; at degree k it builds none of them."""
     order_of_x, rmul = period_sets._irreducible_order, period_sets._rmul
     irreducibles, products, ones = {}, {}, {}
 
@@ -243,7 +250,8 @@ def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top)
         assert set(irreducibles) | set(products) == set(range(1, k + 1)), (q, k)
         for d in range(1, k + 1):
             gauss = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
-            assert irreducibles[d] == ones[d] == gauss - (d == 1), (q, k, d)
+            assert irreducibles[d] == gauss - (d == 1), (q, k, d)
+            assert ones.get(d, 0) == (irreducibles[d] if d < k else 0), (q, k, d)
             assert irreducibles[d] + products.get(d, 0) == q ** d - q ** (d - 1), (q, k, d)
 
 

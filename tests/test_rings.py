@@ -43,12 +43,13 @@ from period_lab.orders import poly_order_bruteforce
 from period_lab.sequences import (
     Recurrence,
     SequenceRun,
-    companion_order_bruteforce,
     generate,
     impulse_response_period,
     impulse_state,
     period_bruteforce,
 )
+
+from oracles import companion_order_bruteforce
 
 # Fibonacci has period 20 over F_5 and 3 over F_2
 F5_FIB = Recurrence(make_field(5), (1, 1))

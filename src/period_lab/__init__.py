@@ -14,7 +14,6 @@ from .errors import DEFAULT_BUDGET
 from .ff import MAX_CHARACTERISTIC, FieldCtx, make_field, parse_field_spec
 from .intfactor import (
     INT64_MAX,
-    divisor_list,
     euler_phi,
     factor_integer,
     is_prime,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "FieldCtx", "make_field", "parse_field_spec", "MAX_CHARACTERISTIC",
-    "factor_integer", "divisor_list", "euler_phi", "is_prime", "lcm64",
+    "factor_integer", "euler_phi", "is_prime", "lcm64",
     "split_prime_power", "INT64_MAX",
     "Poly", "Factorization", "factor", "gcd", "powmod",
     "is_irreducible", "monic_polys", "parse_poly", "format_poly",

@@ -185,39 +185,35 @@ def _run_minpoly(args) -> tuple:
 
 # -- period-set ----------------------------------------------------------------------
 
+# --method name -> route, called as route(field, k, budget); --method all
+# runs every route but the exact one, in this order
+_PERIOD_SET_METHODS = {
+    "closed": lambda field, k, budget: period_set_closed_form(k, field.q),
+    "bound": lambda field, k, budget: period_set_lower_bound(k, field.q),
+    "exact": lambda field, k, budget: period_set_exact(k, field.q, budget=budget),
+    "bruteforce": lambda field, k, budget: order_set_bruteforce(field, k, budget=budget),
+}
+
+
 def _run_period_set(args) -> tuple:
     with _reading_inputs(args):
         field = parse_field_spec(args.field)
         _at_least(args.degree, 1, "--degree")
     k, q = args.degree, field.q
-    methods = ["closed", "bound", "bruteforce"] if args.method == "all" else [args.method]
-    sets = {}
-    for method in methods:
-        if method == "closed":
-            sets[method] = list(period_set_closed_form(k, q))
-        elif method == "bound":
-            sets[method] = list(period_set_lower_bound(k, q))
-        elif method == "exact":
-            sets[method] = list(period_set_exact(k, q, budget=args.budget))
-        else:
-            sets[method] = list(order_set_bruteforce(field, k, budget=args.budget))
+    methods = ([m for m in _PERIOD_SET_METHODS if m != "exact"] if args.method == "all"
+               else [args.method])
+    sets = {m: list(_PERIOD_SET_METHODS[m](field, k, args.budget)) for m in methods}
     base = {"q": q, "p": field.p, "e": field.e, "k": k}
+    text = [f"field: {field.spec()}", f"degree: {k}"]
+    text += [f"{m}: " + " ".join(map(str, vals)) for m, vals in sets.items()]
     if args.method == "all":
-        payload = dict(base, method="all", sets=sets,
-                       equal=len({tuple(v) for v in sets.values()}) == 1)
+        equal = len({tuple(v) for v in sets.values()}) == 1
+        payload = dict(base, method="all", sets=sets, equal=equal)
+        text.append(f"equal: {str(equal).lower()}")
+        rows = [["method", "period"]] + [[m, v] for m, vals in sets.items() for v in vals]
     else:
         payload = dict(base, method=args.method, period_set=sets[args.method])
-    text = [f"field: {field.spec()}", f"degree: {k}"]
-    rows = [["period"]]
-    for method, vals in sets.items():
-        text.append(f"{method}: " + " ".join(str(v) for v in vals))
-    if args.method == "all":
-        text.append(f"equal: {str(payload['equal']).lower()}")
-        rows = [["method", "period"]]
-        for method, vals in sets.items():
-            rows += [[method, v] for v in vals]
-    else:
-        rows += [[v] for v in sets[args.method]]
+        rows = [["period"]] + [[v] for v in sets[args.method]]
     return payload, text, rows
 
 
@@ -399,8 +395,7 @@ def _wire_minpoly(p):
 def _wire_period_set(p):
     p.add_argument("--field", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "bound", "exact", "bruteforce", "all"),
-                   default="closed")
+    p.add_argument("--method", choices=(*_PERIOD_SET_METHODS, "all"), default="closed")
     _add_common(p, budget=True)
     p.set_defaults(run=_run_period_set)
 

@@ -19,10 +19,15 @@ INT64_MAX = (1 << 63) - 1
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _power_exceeds(q: int, k: int, bound: int) -> bool:
+    """q^k > bound, for q >= 2, without building q^k for a large k: q^b >
+    bound for b the bit length of bound, so k is capped at b."""
+    return q ** min(k, bound.bit_length()) > bound
+
+
 def _check_ceiling(k: int, q: int) -> None:
     """Raise OutOfRange unless q^k - 1 fits the 64-bit range."""
-    # q^min(k, 64) keeps a huge k cheap: q^64 - 1 is past the limit for q >= 2
-    if q ** min(k, 64) - 1 > INT64_MAX:
+    if _power_exceeds(q, k, 1 << 63):
         raise OutOfRange(
             f"degree {k} over F_{q} is past the 64-bit limit: "
             f"q^k - 1 must be at most 2^63 - 1"
@@ -117,11 +122,6 @@ def _divisors(n: int) -> list[int]:
         powers = [prime ** j for j in range(1, exp + 1)]
         divs += [d * pw for d in divs for pw in powers]
     return divs
-
-
-def divisor_list(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    return sorted(_divisors(n))
 
 
 def order_from_multiple(factored_multiple, x, power, is_one) -> int:

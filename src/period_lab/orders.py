@@ -145,15 +145,13 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     order is cached under (p, min(M, M*, M-, M-*)), with the key as bytes
     when p <= 256: the s conjugates of g, their reciprocals and their
     negatives share one entry, and an order keyed on M- or M-* is mapped
-    back.  M* is M reversed, over odd p scaled by 1/M(0); M- is M with
-    the coefficients of x^(deg - 1), x^(deg - 3), ... negated.  Over F_2,
-    -1 = 1 and the key is min(M, M*)."""
+    back.  M* is M reversed, scaled by 1/M(0); M- is M with the
+    coefficients of x^(deg - 1), x^(deg - 3), ... negated.  Over F_2 the
+    same rule gives the key min(M, M*): -1 = 1, so M- = M, and M(0) = 1."""
     _check_ceiling(len(coeffs) - 1, field.q)
     if field.e > 1:
         coeffs = _prime_field_minimal_poly(field, coeffs)
     p = field.p
-    if p == 2:
-        return _order_by_key(2, bytes(min(coeffs, coeffs[::-1])))
     coeffs = list(coeffs)
     star = coeffs[::-1]
     c0 = coeffs[0]

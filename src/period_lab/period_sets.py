@@ -18,6 +18,10 @@ irreducible: it takes the orders of the degree-d irreducibles to be the
 e with ord_e(q) = d, a counting theorem.  The brute-force route uses no
 such count: it finds actual irreducible polynomials and computes the
 order of x modulo each one.
+
+Every route refuses a degree below 1 (_check_degree); the other three
+then check the 64-bit ceiling and read p from q in one place,
+_route_characteristic, while the brute-force route has its budget.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .intfactor import (
     _check_ceiling,
     _divisors,
     _mul64,
-    divisor_list,
+    _power_exceeds,
     factor_integer,
     split_prime_power,
 )
@@ -77,9 +81,6 @@ class PeriodSet(Record):
     def as_set(self) -> frozenset:
         return frozenset(self.values)
 
-    def issubset(self, other) -> bool:
-        return self.as_set().issubset(other)
-
     def __eq__(self, other):
         if isinstance(other, PeriodSet):
             return self.values == other.values
@@ -95,7 +96,7 @@ class PeriodSet(Record):
 
 def divisors(n: int) -> PeriodSet:
     """All positive divisors of n."""
-    return PeriodSet(tuple(divisor_list(n)))
+    return PeriodSet.of(_divisors(n))
 
 
 def set_scale(a: int, s: PeriodSet) -> PeriodSet:
@@ -121,6 +122,21 @@ def _divisor_union(q: int, parts) -> PeriodSet:
     return PeriodSet.of(vals)
 
 
+def _check_degree(k: int) -> None:
+    """Refuse a degree below 1, as every period-set route does."""
+    if k < 1:
+        raise OutOfRange("degree must be >= 1")
+
+
+def _route_characteristic(k: int, q: int) -> int:
+    """The degree rule of the period-set routes: k >= 1 (OutOfRange) and
+    q^k - 1 within the 64-bit range (_check_ceiling); returns the
+    characteristic p of q (NotPrimePower if q is not a prime power)."""
+    _check_degree(k)
+    _check_ceiling(k, q)
+    return split_prime_power(q)[0]
+
+
 def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     """The union over 1 <= i <= k of {p^j : j <= t_i} * D(q^i - 1), with
     t_i the least t such that p^t >= floor(k/i).
@@ -128,10 +144,7 @@ def period_set_lower_bound(k: int, q: int) -> PeriodSet:
     Always contained in the true period set; the containment is an
     equality for k <= 4 and can be strict from k = 5 on.
     """
-    if k < 1:
-        raise OutOfRange("degree must be >= 1")
-    _check_ceiling(k, q)
-    p, _ = split_prime_power(q)
+    p = _route_characteristic(k, q)
     return _divisor_union(q, [(i, [p ** j for j in range(_char_boost(p, k // i)[0] + 1)])
                               for i in range(1, k + 1)])
 
@@ -141,15 +154,15 @@ def period_set_closed_form(k: int, q: int) -> PeriodSet:
 
     Degree 3 gains {2,4}*D(q-1) in characteristic 2, and degree 4 gains
     p^2*D(q-1) in characteristics 2 and 3, reflecting how high a power of
-    p is needed to cover a repeated linear factor.
+    p is needed to cover a repeated linear factor.  A degree above 4
+    raises DegreeOutOfRange before the 64-bit ceiling is checked.
     """
-    if not 1 <= k <= 4:
+    if k > 4:
         raise DegreeOutOfRange(
             f"no closed form for degree {k}; use the exact route "
             f"(period_set_exact, --method exact)"
         )
-    _check_ceiling(k, q)
-    p, _ = split_prime_power(q)
+    p = _route_characteristic(k, q)
     return _divisor_union(q, {
         1: [(1, (1,))],
         2: [(2, (1,)), (1, (p,))],
@@ -170,11 +183,8 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     One boost is enough, since every e is prime to p.  Work is capped at
     `budget` candidate periods formed (default 10^6, or PERIOD_LAB_BUDGET).
     """
-    if k < 1:
-        raise OutOfRange("degree must be >= 1")
-    _check_ceiling(k, q)
+    p = _route_characteristic(k, q)
     budget = default_budget(budget)
-    p, _ = split_prime_power(q)
     formed = 0
     # reachable value -> (least degree, bitmask of the plain types' degrees)
     best = {1: (0, 0)}
@@ -250,18 +260,15 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     since every later irreducible has degree >= d.
 
     Exact oracle for the closed forms, the exact route and the lower
-    bound.  Work is capped at `budget` polynomials of degree k (default
-    10^6, or PERIOD_LAB_BUDGET), checked before any work.
+    bound.  It refuses a degree below 1 as the other routes do, but has no
+    64-bit ceiling of its own: work is capped at `budget` polynomials of
+    degree k (default 10^6, or PERIOD_LAB_BUDGET), checked before any work.
     """
-    if k < 1:
-        raise OutOfRange("degree must be >= 1")
+    _check_degree(k)
     budget = default_budget(budget)
     q = field.q
-    # q >= 2, so q^b > budget for b its bit length, and q^63 > INT64_MAX:
-    # neither test builds q^k for a large k
-    if q ** min(k, budget.bit_length()) > budget:
-        total = q ** min(k, 63)
-        shown = total if total <= INT64_MAX else f"{q}^{k}"
+    if _power_exceeds(q, k, budget):
+        shown = f"{q}^{k}" if _power_exceeds(q, k, INT64_MAX) else q ** k
         raise BudgetExceeded(f"{shown} polynomials exceed the budget {budget}")
     boost = [_char_boost(field.p, m)[1] for m in range(k + 1)]
     marks = [None] + [bytearray(q ** d) for d in range(1, k + 1)]

@@ -452,14 +452,6 @@ class Poly:
     def x(cls, field) -> "Poly":
         return _mk(field, (0, 1))
 
-    @classmethod
-    def constant(cls, field, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def parse(cls, field, text: str) -> "Poly":
-        return parse_poly(field, text)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -476,10 +468,6 @@ class Poly:
     @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def monic(self) -> "Poly":
         return _mk(self.field, _rmonic(self.field, self.coeffs))

@@ -211,9 +211,6 @@ class SequenceRun(Record):
     def __init__(self, recurrence: Recurrence, initial: tuple):
         Record.__init__(self, recurrence, _canonical_state(recurrence, initial))
 
-    def prefix(self, count: int) -> list:
-        return generate(self.recurrence, self.initial, count)
-
     @property
     def period(self) -> int:
         return period_bruteforce(self.recurrence, self.initial)

@@ -31,7 +31,7 @@ from .period_sets import (
     set_product,
     set_scale,
 )
-from .poly import Poly, monic_polys
+from .poly import monic_polys, parse_poly
 from .rings import (
     GroupAlgebra,
     group_algebra_max_period,
@@ -123,20 +123,20 @@ def _check_element_order():
 
 @_check("order-x2+x+1", "orders", "ord(x^2+x+1) = 3 over F_2")
 def _check_order_quadratic():
-    f = Poly.parse(make_field(2), "x^2+x+1")
+    f = parse_poly(make_field(2), "x^2+x+1")
     return 3, poly_order(f).order
 
 
 @_check("order-x3+x+1", "orders", "ord(x^3+x+1) = 7 over F_2")
 def _check_order_cubic():
-    f = Poly.parse(make_field(2), "x^3+x+1")
+    f = parse_poly(make_field(2), "x^3+x+1")
     return 7, poly_order(f).order
 
 
 @_check("order-x5+x4+1", "orders",
         "ord(x^5+x^4+1) = lcm(3,7) = 21 over F_2, by all three routes")
 def _check_order_degree5():
-    f = Poly.parse(make_field(2), "x^5+x^4+1")
+    f = parse_poly(make_field(2), "x^5+x^4+1")
     pipeline = poly_order(f).order
     brute = poly_order_bruteforce(f)
     impulse = impulse_response_period(Recurrence.from_char_poly(f))
@@ -146,7 +146,7 @@ def _check_order_degree5():
 @_check("order-repeated-root", "orders",
         "ord(x^2-x-1) = 20 over F_5 (repeated root 3 of order 4, boosted by p)")
 def _check_order_repeated_root():
-    f = Poly.parse(make_field(5), "x^2-x-1")  # (x-3)^2 over F_5
+    f = parse_poly(make_field(5), "x^2-x-1")  # (x-3)^2 over F_5
     return 20, poly_order(f).order
 
 
@@ -212,11 +212,15 @@ def _check_golden_f2():
     return expected, computed
 
 
+# the exact-route grid: the 25 (q, k) with q in {2,3,4,5} and q^k <= 1024
+_EXACT_GRID = tuple((q, k) for q, top in ((2, 10), (3, 6), (4, 5), (5, 4))
+                    for k in range(1, top + 1))
+
+
 @lru_cache(maxsize=32)
 def _bruteforce_set(q, k):
-    """order_set_bruteforce over F_q at degree k.  The closed-form and
-    strictness checks ask for sets inside the exact-route grid (the 25
-    (q, k) with q in {2,3,4,5} and q^k <= 1024), so each is built once."""
+    """order_set_bruteforce over F_q at degree k.  Every period-set check
+    asks for sets inside _EXACT_GRID, so each is built once."""
     return order_set_bruteforce(make_field(*split_prime_power(q)), k)
 
 
@@ -240,10 +244,20 @@ def _check_strictness_degree5():
         "exact period sets equal brute-force order sets for q in {2,3,4,5}, "
         "q^k <= 1024; 21 is in the degree-5 set over F_2")
 def _check_exact_vs_bruteforce():
-    mismatches = [(q, k) for q, top in ((2, 10), (3, 6), (4, 5), (5, 4))  # q^k <= 1024
-                  for k in range(1, top + 1)
+    mismatches = [(q, k) for q, k in _EXACT_GRID
                   if _bruteforce_set(q, k) != period_set_exact(k, q)]
     return ([], True), (mismatches, 21 in period_set_exact(5, 2))
+
+
+@_check("lower-bound", "period-sets",
+        "the union lower bound equals the closed form for k <= 4, q in {2,3,4,5}, "
+        "and lies inside the brute-force order set for q in {2,3,4,5}, q^k <= 1024")
+def _check_lower_bound():
+    unequal = [(q, k) for q in (2, 3, 4, 5) for k in (1, 2, 3, 4)
+               if period_set_lower_bound(k, q) != period_set_closed_form(k, q)]
+    outside = [(q, k) for q, k in _EXACT_GRID
+               if not period_set_lower_bound(k, q).as_set() <= _bruteforce_set(q, k).as_set()]
+    return ([], []), (unequal, outside)
 
 
 @_check("ring-period-set-k1", "rings",
@@ -355,8 +369,6 @@ def _check_group_algebra_small():
     a3 = group_algebra_max_period(GroupAlgebra(2, 3), 1)
     a4_semisimple = GroupAlgebra(2, 4).semisimple
     return (2, 3, False), (a2, a3, a4_semisimple)
-
-
 
 
 def run_verify(scope: str = "all") -> VerifyReport:

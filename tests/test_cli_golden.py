@@ -94,6 +94,7 @@ CASES = (
     "algebra --p 2 --n 1",
     "algebra --p 2 --n 3 --degree 0 --max-period",
     "verify --scope rings",
+    "verify --scope period-sets",
     "verify",
 )
 KEYS = [f"{case} --format {fmt}" for case in CASES for fmt in FORMATS]

@@ -4,7 +4,6 @@ from period_lab.errors import NotPrimePower, OutOfRange
 from period_lab.intfactor import (
     INT64_MAX,
     _ceiling_degree,
-    divisor_list,
     euler_phi,
     factor_integer,
     is_prime,
@@ -136,16 +135,6 @@ def test_is_prime():
 def test_is_prime_matches_trial_division():
     for n in range(20000):
         assert is_prime(n) == (n > 1 and naive_factor(n) == ((n, 1),)), n
-
-
-def test_divisor_list():
-    assert divisor_list(6) == [1, 2, 3, 6]
-    assert divisor_list(1) == [1]
-    assert divisor_list(15) == [1, 3, 5, 15]
-    assert divisor_list(2 ** 4 - 1) == [1, 3, 5, 15]
-    for n in (12, 36, 100, 2 ** 10):
-        divs = divisor_list(n)
-        assert divs == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_euler_phi():

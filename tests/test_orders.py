@@ -420,8 +420,8 @@ def test_poly_order_references():
     cube = parse_poly(F2, "x+1") ** 3
     assert order_by_definition(cube, 16) == 4
     assert poly_order(cube).order == 4
-    assert poly_order(Poly.constant(F5, 4)) == poly_order(Poly.constant(F5, 4))
-    assert poly_order(Poly.constant(F5, 4)).order == 1
+    assert poly_order(Poly(F5, (4,))) == poly_order(Poly(F5, (4,)))
+    assert poly_order(Poly(F5, (4,))).order == 1
     with pytest.raises(ZeroPolynomial):
         poly_order(Poly.zero(F3))
 

@@ -41,6 +41,15 @@ def test_divisors():
         divisors(0)
 
 
+def test_divisors_ascending():
+    assert list(divisors(6)) == [1, 2, 3, 6]
+    assert list(divisors(1)) == [1]
+    assert list(divisors(15)) == [1, 3, 5, 15]
+    assert list(divisors(2 ** 4 - 1)) == [1, 3, 5, 15]
+    for n in (12, 36, 100, 2 ** 10):
+        assert list(divisors(n)) == [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_set_combinators():
     assert set_scale(5, divisors(6)) == {5, 10, 15, 30}
     assert set_product(divisors(2), divisors(6)) == {1, 2, 3, 4, 6, 12}
@@ -61,7 +70,7 @@ def test_period_set_semantics():
     assert len(s) == 3
     assert s == {1, 2, 3} and s == [1, 2, 3]
     assert s == PeriodSet.of([1, 2, 3])
-    assert s.issubset({1, 2, 3, 4})
+    assert s.as_set() <= {1, 2, 3, 4}
     assert s.as_set() == frozenset({1, 2, 3})
     with pytest.raises(OutOfRange):
         PeriodSet.of([0, 1])
@@ -294,17 +303,17 @@ def test_containment_and_monotonicity():
         previous = None
         for k in (1, 2, 3, 4, 5):
             brute = order_set_bruteforce(F, k)
-            assert period_set_lower_bound(k, q).issubset(brute)
+            assert period_set_lower_bound(k, q).as_set() <= brute.as_set()
             assert max(brute) == q ** k - 1
             if previous is not None:
-                assert previous.issubset(brute)
+                assert previous.as_set() <= brute.as_set()
             previous = brute
 
 
 def test_divisor_nesting():
     for q in (2, 3, 5):
         for i, j in ((1, 2), (1, 3), (2, 4), (3, 6)):
-            assert divisors(q ** i - 1).issubset(divisors(q ** j - 1))
+            assert divisors(q ** i - 1).as_set() <= divisors(q ** j - 1).as_set()
 
 
 def test_closed_form_matches_bruteforce_spot():
@@ -352,7 +361,8 @@ def test_exact_matches_closed_forms():
 def test_lower_bound_inside_exact():
     for q in (2, 3, 4, 5):
         for k in range(1, 13):
-            assert period_set_lower_bound(k, q).issubset(period_set_exact(k, q)), (q, k)
+            assert (period_set_lower_bound(k, q).as_set()
+                    <= period_set_exact(k, q).as_set()), (q, k)
     # the paper's degree-5 example: (x^2+x+1)(x^3+x+1) has order 21
     assert 21 in period_set_exact(5, 2)
     assert 21 not in period_set_lower_bound(5, 2)
@@ -387,6 +397,19 @@ def test_exact_input_checks():
         period_set_exact(0, 2)
     with pytest.raises(NotPrimePower):
         period_set_exact(5, 6)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("route", [
+    period_set_closed_form, period_set_lower_bound, period_set_exact,
+    pytest.param(lambda k, q: order_set_bruteforce(make_field(q), k),
+                 id="order_set_bruteforce"),
+])
+def test_degree_rule_is_shared(route, k):
+    # one rule for every route: the closed form refuses k <= 0 as the
+    # others do; only k >= 5 raises DegreeOutOfRange there
+    with pytest.raises(OutOfRange, match="^degree must be >= 1$"):
+        route(k, 2)
 
 
 @pytest.mark.parametrize("route", [

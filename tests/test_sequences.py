@@ -172,7 +172,7 @@ def test_from_char_poly_roundtrip():
     with pytest.raises(NonUnitCoefficient):
         Recurrence.from_char_poly(parse_poly(F5, "x^2+x"))
     with pytest.raises(ConstantPolynomial):
-        Recurrence.from_char_poly(Poly.constant(F5, 3))
+        Recurrence.from_char_poly(Poly(F5, (3,)))
 
 
 def test_impulse_response_period():
@@ -307,10 +307,10 @@ def test_minimal_poly_divides_char_poly():
 def test_sequence_run():
     run = SequenceRun(Recurrence(F5, (1, 1)), (0, 1))
     assert run.period == 20
-    prefix = run.prefix(12)
+    prefix = generate(run.recurrence, run.initial, 12)
     # the prefix satisfies the recurrence term by term
     for n in range(10):
         assert prefix[n + 2] == F5.add(prefix[n], prefix[n + 1])
     # and is periodic with the measured period right from the start
-    long = run.prefix(45)
+    long = generate(run.recurrence, run.initial, 45)
     assert long[:20] == long[20:40]

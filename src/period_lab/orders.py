@@ -18,7 +18,10 @@ polynomial M of a over F_p (the product of the conjugates of g under
 c -> c^p), and _order_by_key computes and caches the order of x modulo M
 on a packed prime-field kernel, which poly._prime_kernel builds from p
 alone, so the conjugates of g share one entry and no F_p object is made.
-A root and its inverse have one order, and over odd p the order of -a
+Part of the order is found on plain ints: the norm (-1)^d * M(0) of a
+root, an element of F_p, has an order n1 that divides it, so the kernel
+takes only the order of x^n1, from the multiple (p^d - 1)/(p - 1).  A
+root and its inverse have one order, and over odd p the order of -a
 follows from the order o of a: in a field, -1 is the only element of
 order 2, so for even o, -a = a^(1 + o/2), of order o/2 when o = 2
 (mod 4) and o when 4 | o, and for odd o, -1 is not in <a> and -a has
@@ -105,16 +108,41 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
         out = mul(out, conj)
 
 
+def _norm(p: int, key) -> int:
+    """(-1)^d * M(0) mod p for the monic irreducible M = `key` of degree d
+    over F_p: the norm a^S, S = (p^d - 1)/(p - 1), of a root a of M
+    (Lidl & Niederreiter, ch. 2).  The roots of M are a^(p^i) for i < d,
+    so M(0) = (-1)^d * a^(1 + p + ... + p^(d-1)) = (-1)^d * a^S."""
+    return (-1) ** (len(key) - 1) * key[0] % p
+
+
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(p: int, key) -> int:
     """Order of x modulo the monic irreducible M = `key` (its coefficients
-    over F_p, as bytes or a tuple) of degree d, found on the kernel of M
-    from the factored multiple p^d - 1."""
+    over F_p, as bytes or a tuple) of degree d: the order o of a root a of
+    M in F_{p^d}^*, with N = p^d - 1 and S = N/(p - 1).
+
+    a^S is the norm (-1)^d * M(0), an element of F_p^* (_norm), whose
+    order n1 is found from the multiple p - 1 by integer powers mod p.
+    a^S has order o/gcd(o, S), so n1 = o/gcd(o, S) divides o, and a^n1
+    has order o/n1 = gcd(o, S), a divisor of S.  So o = n1 * ord(a^n1):
+    the kernel of M takes x^n1 and then its order from the multiple S,
+    whose factorization is N's less p - 1's, so no further integer is
+    factored.  For d = 1, S = 1 and o = n1, with no kernel built; over
+    F_2, p - 1 = 1, so n1 = 1 and S = N."""
+    unit = factor_integer(p - 1)
+    n1 = order_from_multiple(unit, _norm(p, key),
+                             lambda y, e: pow(y, e, p), lambda y: y == 1)
+    d = len(key) - 1
+    if d == 1:
+        return n1
+    less = dict(unit)
+    s = tuple((r, a - less.get(r, 0)) for r, a in factor_integer(p ** d - 1)
+              if a > less.get(r, 0))
     k = _prime_kernel(p, tuple(key))
     one = k.one
-    return order_from_multiple(factor_integer(p ** (len(key) - 1) - 1),
-                               k.pack((0, 1)),  # x reduced: a constant when d = 1
-                               k.power, lambda y: y == one)
+    return n1 * order_from_multiple(s, k.power(k.pack((0, 1)), n1),
+                                    k.power, lambda y: y == one)
 
 
 def _negated_order(o: int) -> int:

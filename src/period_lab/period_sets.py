@@ -49,7 +49,7 @@ from .intfactor import (
     split_prime_power,
 )
 from .orders import _char_boost, _irreducible_order
-from .poly import _rmul, monic_polys
+from .poly import _monic_coeffs, _rmul
 
 
 class PeriodSet(Record):
@@ -237,10 +237,11 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     reaches every monic polynomial of degree <= k with a nonzero constant
     term exactly once.
 
-    Degree by degree, d = 1..k, the pass walks monic_polys, whose i-th
-    polynomial has the base-q index i, and marks every product it builds
-    in a bytearray by that index.  So an unmarked polynomial of degree d
-    with g(0) != 0 is irreducible, and its order of x is taken from
+    Degree by degree, d = 1..k, the pass walks the coefficient tuples of
+    _monic_coeffs (the enumeration behind monic_polys, with no Poly made),
+    whose i-th tuple has the base-q index i, and marks every product it
+    builds in a bytearray by that index.  So an unmarked polynomial of
+    degree d with g(0) != 0 is irreducible, and its order of x is taken from
     _irreducible_order, which computes it once per class of minimal
     polynomials over F_p, their reciprocals and their negatives (over
     F_13 at k = 3, 210 orders for the 818 irreducibles) and looks the
@@ -279,10 +280,9 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     for d in range(1, k + 1):
         keep = k - d  # stored holds degrees 0..keep
         row = marks[d]
-        for i, f in enumerate(monic_polys(field, d)):
+        for i, g in enumerate(_monic_coeffs(field, d)):
             if row[i] or not i % q:  # a product, or divisible by x
                 continue
-            g = f.coeffs
             e = _irreducible_order(field, g)
             if not keep:  # degree k: 1 * g is g, of order e, and nothing follows
                 orders.add(e)

@@ -109,8 +109,15 @@ def _rscale(F, c, a):
 def _rmul(F, a, b):
     if not a or not b:
         return ()
-    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
+    if F.e == 1:  # integer sums, one reduction per coefficient
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = F.p
+        return tuple([c % p for c in out])
+    add, mul = F.add, F.mul
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -750,13 +757,21 @@ def factor(f: Poly) -> Factorization:
     return Factorization(unit, tuple((_mk(F, cs), m) for cs, m in _factor_parts(F, w)[0]))
 
 
-def monic_polys(field: FieldCtx, degree: int):
-    """All monic polynomials of the given degree, in little-endian counting
-    order on the coefficient vector (constant term varies fastest)."""
+def _monic_coeffs(field: FieldCtx, degree: int):
+    """The coefficient tuples of the monic polynomials of the given degree,
+    in little-endian counting order on the coefficient vector (constant
+    term varies fastest): the i-th has the base-q index i."""
     if degree < 0:
         raise OutOfRange("degree must be >= 0")
     for cs in itertools.product(range(field.q), repeat=degree):
-        yield _mk(field, (*reversed(cs), 1))
+        yield (*reversed(cs), 1)
+
+
+def monic_polys(field: FieldCtx, degree: int):
+    """All monic polynomials of the given degree, in the order of
+    _monic_coeffs."""
+    for cs in _monic_coeffs(field, degree):
+        yield _mk(field, cs)
 
 
 # -- text format ----------------------------------------------------------------

@@ -324,6 +324,35 @@ def test_order_set_bruteforce_computes_one_order_per_plus_minus_class(monkeypatc
     assert count_order_misses(monkeypatch, F13, 3) == (210, 210, {int})
 
 
+def count_kernel_products(monkeypatch, field, k):
+    """The products made on _order_by_key's kernels by
+    order_set_bruteforce(field, k) from a cleared cache."""
+    made, build = [0], orders._prime_kernel
+
+    def spy(p, mod):
+        kernel = build(p, mod)
+
+        def mulmod(u, v, mul=kernel.mulmod):
+            made[0] += 1
+            return mul(u, v)
+
+        return poly._Kernel(kernel.pack, mulmod, kernel.unpack, kernel.one)
+
+    monkeypatch.setattr(orders, "_prime_kernel", spy)
+    _order_by_key.cache_clear()
+    order_set_bruteforce(field, k)
+    return made[0]
+
+
+def test_order_set_bruteforce_kernel_products(monkeypatch):
+    """The order of x reads its (p - 1)-part from the norm, so over F_13 at
+    k = 3 the 210 orders make 2,697 kernel products (5,830 when each took
+    its order from the multiple 13^d - 1).  Over F_2, p - 1 = 1: the 196
+    orders over F_16 make the same 6,405 products as from 2^d - 1."""
+    assert count_kernel_products(monkeypatch, make_field(13), 3) == 2697
+    assert count_kernel_products(monkeypatch, make_field(2, 4), 3) == 6405
+
+
 # (p, e, top): every degree d <= top has q^d <= 2^12
 @pytest.mark.parametrize("p,e,top", [(2, 1, 12), (3, 1, 7), (2, 2, 6), (5, 1, 5), (3, 2, 3)])
 def test_reciprocals_share_one_order(p, e, top):
@@ -364,8 +393,11 @@ def test_negated_order_pins():
     assert all(orders._negated_order(orders._negated_order(o)) == o for o in range(1, 200))
 
 
-# (p, e, top): the odd fields up to F_27, each to the top degree with q^d <= 2^12
-PLUS_MINUS_GRID = [(3, 1, 7), (5, 1, 5), (7, 1, 4), (3, 2, 3), (13, 1, 3), (5, 2, 2), (3, 3, 2)]
+# (p, e, top): the odd fields up to F_27, each to the top degree with q^d <= 2^12,
+# and F_11 and F_31: F_7, F_11, F_13 and F_31 are prime fields whose p - 1 has
+# two or three primes, for the order n1 of the norm to split
+PLUS_MINUS_GRID = [(3, 1, 7), (5, 1, 5), (7, 1, 4), (3, 2, 3), (13, 1, 3), (5, 2, 2), (3, 3, 2),
+                   (11, 1, 3), (31, 1, 2)]
 
 
 def plus_minus_mismatches(p, e, top):
@@ -397,6 +429,21 @@ def test_plus_minus_grid_fails_without_the_negated_order(monkeypatch):
     monkeypatch.setattr(orders, "_negated_order", lambda o: o)
     assert plus_minus_mismatches(3, 1, 1) == ["x+2"] * 4
     assert all(plus_minus_mismatches(p, e, 1) for p, e, _ in PLUS_MINUS_GRID)
+
+
+def test_plus_minus_grid_fails_without_the_norm_sign(monkeypatch):
+    """_order_by_key takes the order n1 of the norm (-1)^d * M(0) mod p,
+    then the order of x^n1 from (p^d - 1)/(p - 1).  With the norm taken as
+    M(0), dropping (-1)^d, x + 1 over F_3, whose root -1 has order 2,
+    reads order 1, and the grid fails over F_7, F_11, F_13 and F_31
+    already at degree <= 2."""
+    monkeypatch.setattr(orders, "_norm", lambda p, key: key[0])
+    try:
+        _order_by_key.cache_clear()
+        assert _irreducible_order(F3, (1, 1)) == 1
+        assert all(plus_minus_mismatches(p, 1, 2) for p in (7, 11, 13, 31))
+    finally:
+        _order_by_key.cache_clear()
 
 
 def test_irreducible_order_divides_group_order():

@@ -277,13 +277,13 @@ def test_order_set_bruteforce_factors_nothing(monkeypatch):
 def test_order_set_bruteforce_refuses_a_polynomial_reached_twice(monkeypatch):
     # an enumeration that yields x + 1 in place of x + 2 over F_3 meets the
     # irreducible x + 1 twice, so it builds x + 1 a second time
-    walk = period_sets.monic_polys
+    walk = period_sets._monic_coeffs
 
     def repeating(field, degree):
-        for f in walk(field, degree):
-            yield parse_poly(field, "x+1") if f.coeffs == (2, 1) else f
+        for cs in walk(field, degree):
+            yield (1, 1) if cs == (2, 1) else cs
 
-    monkeypatch.setattr("period_lab.period_sets.monic_polys", repeating)
+    monkeypatch.setattr("period_lab.period_sets._monic_coeffs", repeating)
     with pytest.raises(LimitExceeded, match=r"reached twice \(bug\?\)$"):
         order_set_bruteforce(make_field(3), 2)
 

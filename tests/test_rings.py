@@ -241,7 +241,7 @@ def test_ring_period_set_does_not_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated polynomials")
 
-    monkeypatch.setattr("period_lab.period_sets.monic_polys", refuse)
+    monkeypatch.setattr("period_lab.period_sets._monic_coeffs", refuse)
     ring = make_product_ring([2, 5])
     pset = period_set_over_ring(ring, 9)
     assert pset == lcm_closure([period_set_exact(9, 2), period_set_exact(9, 5)])

@@ -76,6 +76,9 @@ MUTANTS = {
     "local-sets-without-divisors": (
         rings, "group_algebra_max_period", "divisors(m)", "divisors(1)",
         {"group-algebra-local-sets"}),
+    "norm-without-sign": (
+        orders, "_norm", "(-1) ** (len(key) - 1) * key[0] % p", "key[0]",
+        {"pipeline-vs-bruteforce", "exact-route-equality", "lower-bound"}),
     "lower-bound-extra-power": (
         period_sets, "period_set_lower_bound", "[0] + 1)", "[0] + 2)",
         {"lower-bound"}),

@@ -28,15 +28,20 @@ order 2, so for even o, -a = a^(1 + o/2), of order o/2 when o = 2
 order 2o.  So the entry and its kernel are keyed on the least of M, its
 monic reciprocal M* (the inverses of M's roots), M- = (-1)^deg(M) M(-x)
 (their negatives) and M-*, and an order keyed on M- or M-* is mapped
-back.  Every product here runs on a kernel built for the one modulus it
-serves; this module reads no field tables.
+back.  _orbit_rule carries one order of x to the whole orbit of g under
+F_q^* and reciprocals: the order of c*a follows from that of a by one
+power of x that is a constant and by discrete logs in F_q^*, and
+_negated_order is its case c = -1.  Every product here runs on a kernel
+built for the one modulus it serves; this module reads no field tables.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import (
+    LimitExceeded,
     OutOfRange,
     Record,
     ReduciblePolynomial,
@@ -157,6 +162,100 @@ def _negated_order(o: int) -> int:
     if o & 1:
         return 2 * o
     return o >> 1 if o & 3 == 2 else o
+
+
+def _x_power_constant(field, coeffs: tuple, n: int) -> int:
+    """x^n modulo the monic irreducible `coeffs` over field = F_q, for an n
+    whose power of a root the caller has shown to lie in F_q: that
+    constant.  A remainder that is not a constant means that the order
+    the caller derived n from is wrong (LimitExceeded, a bug)."""
+    rem = _kernel(field, coeffs).powmod((0, 1), n)
+    if len(rem) != 1:
+        raise LimitExceeded(f"x^{n} mod {coeffs} is not a constant (bug?)")
+    return rem[0]
+
+
+def _orbit_rule(field, top: int):
+    """orbit(coeffs, o) over field = F_q, for degrees up to top: for the
+    monic irreducible g = `coeffs` of degree d with g(0) != 0, whose root a
+    has order o, an iterable of the pairs (g_c, ord(c*a)) and
+    (g_c*, ord(c*a)) for every c in F_q^*: the orbit of g under F_q^* and
+    reciprocals, with the order of each member, from one order of x.
+
+    g_c = c^d * g(x/c), with coefficient j equal to g_j * c^(d - j), is
+    monic with the root c*a, so it is the minimal polynomial of c*a; its
+    monic reciprocal g_c* has the root 1/(c*a), of the same order.  With
+    omega a generator of F_q^*, g_(omega*c) is g_c with coefficient j
+    times omega^(d - j), and (g*)_c, for c = omega^k, is the reciprocal of
+    g_(1/c), so it takes the order of omega^(-k) * a.
+
+    ord(c*a) follows from o in the cyclic group F_{q^d}^* (Lidl &
+    Niederreiter, Thm 3.3).  Let R be the primes r of q - 1 with
+    v_r(o) <= v_r(q - 1) = b, P and U the parts of o and of q - 1 at R,
+    K = o/P, u = (q - 1)/U and E = K*u.
+
+    - At a prime r of o outside R, ord(c*a) has the part of o: if r does
+      not divide q - 1, c's order is prime to r; if v_r(o) > b, the
+      r-parts of a and c have orders r^v_r(o) and at most r^b, and in a
+      cyclic r-group the product has the larger order.  These parts make
+      up K.
+    - At R: ord(c*a) divides lcm(o, q - 1), whose part outside R divides
+      E, and E is prime to R.  So (c*a)^E has order the R-part of
+      ord(c*a).  (c*a)^E = c^E * z^u with z = a^K, of order P, which
+      divides q - 1, so z lies in F_q^*, the elements whose order divides
+      q - 1: x^K mod g is the constant z (_x_power_constant).  With
+      c = omega^k and z^u = omega^l, (c*a)^E = omega^(k*E + l), of order
+      (q - 1)/gcd(k*E + l, q - 1).
+
+    So ord(omega^k * a) = K * (q - 1)/gcd(k*E + l, q - 1).  No kernel is
+    built when P = 1 (z = 1) or P = 2 (z = -1, the one element of order
+    2, omega^((q - 1)/2)); otherwise z is found among the P powers of
+    omega^((q - 1)/P), and one outside them raises LimitExceeded (a bug).
+    At c = -1, in odd characteristic, the rule is _negated_order(o)."""
+    m = field.q - 1
+    if m == 1:  # F_2^* = {1} and g(0) = 1: the orbit is g and its reversal g*
+        return lambda coeffs, o: ((coeffs, o), (coeffs[::-1], o))
+    pw, mul = field.pow, field.mul
+    primes = [(r, r ** b) for r, b in factor_integer(m)]
+    omega = next(w for w in field.units() if all(pw(w, m // r) != 1 for r, _ in primes))
+    # steps[d][j] = omega^(d - j): g_(omega*c) is g_c times it, coefficient by coefficient
+    steps = [[pw(omega, d - j) for j in range(d + 1)] for d in range(top + 1)]
+
+    def orbit(coeffs, o):
+        d = len(coeffs) - 1
+        part = whole = 1  # P and U
+        for r, rb in primes:
+            if o % (rb * r):  # r is in R
+                part *= math.gcd(o, rb)
+                whole *= rb
+        keep, u = o // part, m // whole  # K and u
+        if part <= 2:  # z = 1 = omega^0 or z = -1 = omega^(m/2)
+            log_z = m // 2 * (part - 1)
+        else:  # z is among the P powers of omega^(m/P)
+            z, base, y = _x_power_constant(field, coeffs, keep), pw(omega, m // part), 1
+            for log_z in range(0, m, m // part):
+                if y == z:
+                    break
+                y = mul(y, base)
+            else:
+                raise LimitExceeded(f"x^{keep} mod {coeffs} = {z} is not a root of "
+                                   f"x^{part} - 1 (bug?)")
+        e, l = keep * u, log_z * u % m
+        found = [keep * (m // math.gcd(k * e + l, m)) for k in range(m)]
+        h, inv0 = coeffs, field.inv(coeffs[0])
+        h_star = coeffs[::-1] if inv0 == 1 else tuple([mul(a, inv0) for a in reversed(coeffs)])
+        yield h, o
+        yield h_star, o
+        step = steps[d]
+        for k in range(1, m):
+            # g_c and (g*)_c for c = omega^k: (g*)_c has the root c/a, of the
+            # order of c^-1 * a
+            h = tuple(map(mul, h, step))
+            h_star = tuple(map(mul, h_star, step))
+            yield h, found[k]
+            yield h_star, found[-k]
+
+    return orbit
 
 
 def _irreducible_order(field, coeffs: tuple) -> int:

@@ -9,9 +9,11 @@ order of h, so this is the set of orders of the monic h of degree <= k
 with h(0) != 0.  The brute-force route reaches each such h once, in one
 serial pass over the monic polynomials of degree 1..k: an irreducible is
 one that no product built so far has marked, and its order of x is
-computed; every other h is built once as a product whose order follows
-from its factors' (Lidl & Niederreiter, Thm 3.8).  It is an oracle for
-small (q, k), and the exact route answers everything else.
+computed once per orbit of its roots under F_q^* and inverses, the rest
+of the orbit taking theirs by field arithmetic; every other h is built
+once as a product whose order follows from its factors' (Lidl &
+Niederreiter, Thm 3.8).  It is an oracle for small (q, k), and the exact
+route answers everything else.
 
 The two routes stay independent.  The exact route never finds an
 irreducible: it takes the orders of the degree-d irreducibles to be the
@@ -48,7 +50,7 @@ from .intfactor import (
     factor_integer,
     split_prime_power,
 )
-from .orders import _char_boost, _irreducible_order
+from .orders import _char_boost, _irreducible_order, _orbit_rule
 from .poly import _monic_coeffs, _rmul
 
 
@@ -241,15 +243,27 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     _monic_coeffs (the enumeration behind monic_polys, with no Poly made),
     whose i-th tuple has the base-q index i, and marks every product it
     builds in a bytearray by that index.  So an unmarked polynomial of
-    degree d with g(0) != 0 is irreducible, and its order of x is taken from
-    _irreducible_order, which computes it once per class of minimal
-    polynomials over F_p, their reciprocals and their negatives (over
-    F_13 at k = 3, 210 orders for the 818 irreducibles) and looks the
-    rest up.  Each stored product u is then extended by g to u * g^j, of
-    order lcm(L_u, ord g) * p^t: L_u is the lcm of the orders of u's
-    factors, and p^t the least power of p >= the top multiplicity (Lidl &
-    Niederreiter, Thm 3.8).  At d = k the only stored product is 1, so g
-    adds only its own order: no product is built or marked.
+    degree d with g(0) != 0 is irreducible.  Each stored product u is then
+    extended by g to u * g^j, of order lcm(L_u, ord g) * p^t: L_u is the
+    lcm of the orders of u's factors, and p^t the least power of p >= the
+    top multiplicity (Lidl & Niederreiter, Thm 3.8).  At d = k the only
+    stored product is 1, so g adds only its own order: no product is built
+    or marked.
+
+    The order of x is computed once per orbit {g_c, g_c* : c in F_q^*} of
+    irreducibles, where g_c = c^d * g(x/c) has the roots of g times c and
+    g_c* is its monic reciprocal.  The first member the pass meets takes
+    its order from _irreducible_order, and orders._orbit_rule gives every
+    member its order from that one by field arithmetic.  The members are
+    recorded in a list by base-q index, and each is read back when the
+    pass meets it, later in the same degree.  Over F_13 at k = 3 that is
+    39 orders of x for the 818 irreducibles (210 when each class of
+    minimal polynomials over F_p, their reciprocals and their negatives
+    took one).  Multiplying by c fixes g for at most d values of c, so an
+    orbit has at least (q - 1)/d members, and the 2(q - 1) members built
+    for it are at most 2d per irreducible.  A member given two orders, a
+    power of x that should be a constant and is not, or a member not met
+    by the end of its degree is a bug (LimitExceeded).
 
     Each polynomial is reached once, by unique factorization: with its
     irreducible factors in walk order (by degree, then index), it is
@@ -272,6 +286,7 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
         shown = f"{q}^{k}" if _power_exceeds(q, k, INT64_MAX) else q ** k
         raise BudgetExceeded(f"{shown} polynomials exceed the budget {budget}")
     boost = [_char_boost(field.p, m)[1] for m in range(k + 1)]
+    orbit = _orbit_rule(field, k)
     marks = [None] + [bytearray(q ** d) for d in range(1, k + 1)]
     # stored[a]: the products of degree a that a later irreducible can
     # extend, as (coefficients, lcm of the factors' orders, top multiplicity)
@@ -280,10 +295,24 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     for d in range(1, k + 1):
         keep = k - d  # stored holds degrees 0..keep
         row = marks[d]
+        known = [0] * q ** d  # base-q index -> order of x, for the orbit members
+        waiting = 0  # members given an order and not yet met
         for i, g in enumerate(_monic_coeffs(field, d)):
             if row[i] or not i % q:  # a product, or divisible by x
                 continue
-            e = _irreducible_order(field, g)
+            if not known[i]:  # the first of its orbit: the one order of x it takes
+                for h, t in orbit(g, _irreducible_order(field, g)):
+                    index = 0
+                    for c in h[-2::-1]:
+                        index = index * q + c
+                    if not known[index]:
+                        known[index] = t
+                        waiting += 1
+                    elif known[index] != t:
+                        raise LimitExceeded(f"orbit member {h} given orders {known[index]} "
+                                            f"and {t} (bug?)")
+            e = known[i]
+            waiting -= 1
             if not keep:  # degree k: 1 * g is g, of order e, and nothing follows
                 orders.add(e)
                 continue
@@ -305,6 +334,8 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
                             stored[deg].append((w, lcm_w, m))
                         deg += d
                         j += 1
+        if waiting:
+            raise LimitExceeded(f"{waiting} orbit members of degree {d} never met (bug?)")
         marks[d] = None
         del stored[keep:]
     return PeriodSet.of(orders)

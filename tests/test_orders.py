@@ -11,6 +11,7 @@ import period_lab
 from period_lab import orders, poly
 from period_lab.errors import (
     BudgetExceeded,
+    LimitExceeded,
     OutOfRange,
     ReduciblePolynomial,
     ZeroConstantTerm,
@@ -284,8 +285,22 @@ def walked_order(g):
     return poly_order_bruteforce(g)
 
 
+def scaled(g, c):
+    """g_c = c^d * g(x/c), d = deg g: the monic polynomial whose roots are
+    c times g's, with coefficient j equal to g_j * c^(d - j)."""
+    F, d = g.field, g.degree
+    return Poly(F, [F.mul(a, F.pow(c, d - j)) for j, a in enumerate(g.coeffs)])
+
+
+def orbit_of(g):
+    """The orbit {g_c, g_c* : c in F_q^*} of g, as a set of coefficient
+    tuples: the minimal polynomials of c*a and 1/(c*a) for the roots a of g."""
+    return frozenset(h.coeffs for c in g.field.units()
+                     for h in (scaled(g, c), reciprocal(scaled(g, c))))
+
+
 def count_order_misses(monkeypatch, field, k):
-    """The _order_by_key misses and entries of order_set_bruteforce(field, k)
+    """The _order_by_key misses and hits of order_set_bruteforce(field, k)
     from a cleared cache, and the set of types of the p it is keyed on."""
     order_by_key, primes = orders._order_by_key, set()
 
@@ -297,37 +312,47 @@ def count_order_misses(monkeypatch, field, k):
     order_by_key.cache_clear()
     assert order_set_bruteforce(field, k) == period_set_closed_form(k, field.q)
     info = order_by_key.cache_info()
-    return info.misses, info.currsize, primes
+    return info.misses, info.hits, primes
 
 
 def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypatch):
     """Over F_16 the 1,495 monic irreducibles of degree <= 3 other than x
     have 381 minimal polynomials over F_2, which pair with their
-    reciprocals into 196 classes (over F_2, M- = M), and
-    order_set_bruteforce finds the order of x once for each class, as one
-    _order_by_key miss; the cache is keyed on the int p."""
+    reciprocals into 196 classes (over F_2, M- = M), and fall into 55
+    orbits {g_c, g_c* : c in F_16^*}.  order_set_bruteforce asks for the
+    order of x of each orbit's first member, and the first members whose
+    minimal polynomials share a class share one _order_by_key entry: 24
+    misses and 31 hits (196 misses when each class took one).  The cache
+    is keyed on the int p."""
     F16 = make_field(2, 4)
     found = irreducibles(F16, 3)
     minimal = {prime_field_minimal_poly(g) for g in found}
     classes = {order_class(g) for g in found}
-    assert (len(found), len(minimal), len(classes)) == (1495, 381, 196)
-    assert count_order_misses(monkeypatch, F16, 3) == (196, 196, {int})
+    orbits = {orbit_of(g) for g in found}
+    assert (len(found), len(minimal), len(classes), len(orbits)) == (1495, 381, 196, 55)
+    assert count_order_misses(monkeypatch, F16, 3) == (24, 31, {int})
 
 
 def test_order_set_bruteforce_computes_one_order_per_plus_minus_class(monkeypatch):
     """Over F_13 the 818 monic irreducibles of degree <= 3 other than x
-    fall into 210 classes {M, M*, M-, M-*}, and order_set_bruteforce finds
-    the order of x once for each class."""
+    fall into 210 classes {M, M*, M-, M-*}, and into 39 orbits
+    {g_c, g_c* : c in F_13^*}, each a union of such classes (M- is g_c at
+    c = -1): order_set_bruteforce finds the order of x once per orbit,
+    each a miss (210 when each class took one)."""
     F13 = make_field(13)
     found = irreducibles(F13, 3)
-    assert (len(found), len({order_class(g) for g in found})) == (818, 210)
-    assert count_order_misses(monkeypatch, F13, 3) == (210, 210, {int})
+    orbits = {orbit_of(g) for g in found}
+    assert (len(found), len({order_class(g) for g in found}), len(orbits)) == (818, 210, 39)
+    assert set().union(*orbits) == {g.coeffs for g in found}
+    assert count_order_misses(monkeypatch, F13, 3) == (39, 0, {int})
 
 
 def count_kernel_products(monkeypatch, field, k):
     """The products made on _order_by_key's kernels by
-    order_set_bruteforce(field, k) from a cleared cache."""
-    made, build = [0], orders._prime_kernel
+    order_set_bruteforce(field, k) from a cleared cache, and the constant
+    powers of x that _orbit_rule takes."""
+    made, constants = [0], []
+    build, constant = orders._prime_kernel, orders._x_power_constant
 
     def spy(p, mod):
         kernel = build(p, mod)
@@ -338,19 +363,25 @@ def count_kernel_products(monkeypatch, field, k):
 
         return poly._Kernel(kernel.pack, mulmod, kernel.unpack, kernel.one)
 
+    def spy_constant(field, coeffs, n):
+        constants.append(n)
+        return constant(field, coeffs, n)
+
     monkeypatch.setattr(orders, "_prime_kernel", spy)
+    monkeypatch.setattr(orders, "_x_power_constant", spy_constant)
     _order_by_key.cache_clear()
     order_set_bruteforce(field, k)
-    return made[0]
+    return made[0], len(constants)
 
 
 def test_order_set_bruteforce_kernel_products(monkeypatch):
-    """The order of x reads its (p - 1)-part from the norm, so over F_13 at
-    k = 3 the 210 orders make 2,697 kernel products (5,830 when each took
-    its order from the multiple 13^d - 1).  Over F_2, p - 1 = 1: the 196
-    orders over F_16 make the same 6,405 products as from 2^d - 1."""
-    assert count_kernel_products(monkeypatch, make_field(13), 3) == 2697
-    assert count_kernel_products(monkeypatch, make_field(2, 4), 3) == 6405
+    """One order of x per orbit: over F_13 at k = 3 the 39 orders make 483
+    kernel products (2,697 for the 210 orders of the classes
+    {M, M*, M-, M-*}), and 25 orbits take one constant power of x; the
+    other 14 have P <= 2.  Over F_16 the 24 orders make 712 products
+    (6,405 for 196), and 45 of the 55 orbits take a constant power of x."""
+    assert count_kernel_products(monkeypatch, make_field(13), 3) == (483, 25)
+    assert count_kernel_products(monkeypatch, make_field(2, 4), 3) == (712, 45)
 
 
 # (p, e, top): every degree d <= top has q^d <= 2^12
@@ -444,6 +475,89 @@ def test_plus_minus_grid_fails_without_the_norm_sign(monkeypatch):
         assert all(plus_minus_mismatches(p, 1, 2) for p in (7, 11, 13, 31))
     finally:
         _order_by_key.cache_clear()
+
+
+# (p, e, top): prime fields to F_31 and extension fields to F_49, q - 1 with
+# one to three primes: F_17 has the unit group of order 2^4, F_49 of order
+# 2^4 * 3, F_31 of order 2 * 3 * 5; F_2 and F_4 ... F_32 are of characteristic 2
+ORBIT_GRID = [(2, 1, 8), (3, 1, 5), (5, 1, 4), (7, 1, 3), (13, 1, 3), (17, 1, 2), (31, 1, 2),
+              (2, 2, 4), (2, 3, 3), (3, 2, 3), (2, 4, 2), (5, 2, 2), (3, 3, 2), (2, 5, 2),
+              (7, 2, 2)]
+
+
+def orbit_mismatches(p, e, top):
+    """For every monic irreducible g over F_{p^e} of degree <= top with
+    g(0) != 0, taken one orbit at a time with the cache cleared first:
+    the members h that orders._orbit_rule gives an order other than the
+    walk's.  The orbits must cover the irreducibles and nothing else."""
+    F = make_field(p, e)
+    rule = orders._orbit_rule(F, top)
+    found = {g.coeffs for g in irreducibles(F, top)}
+    done, out = set(), []
+    for g in sorted(found, key=lambda cs: (len(cs), cs[::-1])):
+        if g in done:
+            continue
+        _order_by_key.cache_clear()
+        for h, t in rule(g, _irreducible_order(F, g)):
+            done.add(h)
+            if t != walked_order(Poly(F, h)):
+                out.append(str(Poly(F, h)))
+    assert done == found
+    return out
+
+
+@pytest.mark.parametrize("p,e,top", ORBIT_GRID, ids=[f"F{p ** e}" for p, e, _ in ORBIT_GRID])
+def test_orbit_orders_match_the_walk(p, e, top):
+    """Every member g_c and g_c* of every orbit gets the walk's order from
+    the one order of x of the orbit's first member."""
+    assert orbit_mismatches(p, e, top) == []
+
+
+def test_orbit_rule_at_minus_one_is_the_negated_order():
+    """Over odd q, g_c at c = -1 is g- = (-1)^d * g(-x), and the rule gives
+    it _negated_order of g's order."""
+    for p, e, top in ORBIT_GRID:
+        if p == 2:
+            continue
+        F = make_field(p, e)
+        rule = orders._orbit_rule(F, top)
+        for g in irreducibles(F, top):
+            o = _irreducible_order(F, g.coeffs)
+            members = dict(rule(g.coeffs, o))
+            assert members[negative(g).coeffs] == orders._negated_order(o), (p, e, str(g))
+
+
+def test_orbit_grid_fails_when_members_take_the_first_ones_order(monkeypatch):
+    """With every member given the order of the orbit's first member, the
+    grid fails over F_13 and F_17."""
+    rule = orders._orbit_rule
+
+    def first_order(field, top):
+        orbit = rule(field, top)
+        return lambda coeffs, o: [(h, o) for h, _ in orbit(coeffs, o)]
+
+    monkeypatch.setattr(orders, "_orbit_rule", first_order)
+    assert orbit_mismatches(13, 1, 3) and orbit_mismatches(17, 1, 2)
+
+
+def test_orbit_grid_fails_with_the_constant_power_fixed_to_one(monkeypatch):
+    """With z = x^K mod g read as 1 where P > 2 (a kernel is built), the
+    grid fails over F_13 and F_17."""
+    monkeypatch.setattr(orders, "_x_power_constant", lambda field, coeffs, n: 1)
+    assert orbit_mismatches(13, 1, 3) and orbit_mismatches(17, 1, 2)
+
+
+def test_orbit_rule_refuses_a_wrong_order():
+    """An order of a root that is wrong can ask for a power of x that is
+    not a constant, or for a constant outside the subgroup it must lie in:
+    both raise LimitExceeded (a bug).  Over F_13, an order 4 has P = 4 and
+    K = 1: x mod x^2 + 2 is no constant, and x mod x + 11 is the root 2,
+    of order 12, not a root of x^4 - 1."""
+    rule = orders._orbit_rule(make_field(13), 2)
+    with pytest.raises(LimitExceeded, match=r"^x\^1 mod \(2, 0, 1\) is not a constant \(bug\?\)$"):
+        list(rule((2, 0, 1), 4))
+    with pytest.raises(LimitExceeded, match=r"is not a root of x\^4 - 1 \(bug\?\)$"):
+        list(rule((11, 1), 4))
 
 
 def test_irreducible_order_divides_group_order():

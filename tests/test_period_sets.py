@@ -194,23 +194,52 @@ def test_order_set_bruteforce_matches_per_polynomial_orders():
         assert order_set_bruteforce(alt, k) == _per_polynomial_orders(alt, k), k
 
 
+def spy_orbits(monkeypatch):
+    """Record, per call of order_set_bruteforce, the orbits of
+    period_sets._orbit_rule as (first member, [members]), and the
+    polynomials whose order of x period_sets._irreducible_order takes."""
+    rule, order_of_x = period_sets._orbit_rule, period_sets._irreducible_order
+    orbits, asked = [], []
+
+    def rule_spy(field, top):
+        orbit = rule(field, top)
+
+        def recorded(coeffs, o):
+            members = list(orbit(coeffs, o))
+            orbits.append((coeffs, [h for h, _ in members]))
+            return members
+
+        return recorded
+
+    def order_spy(field, coeffs):
+        asked.append(coeffs)
+        return order_of_x(field, coeffs)
+
+    monkeypatch.setattr(period_sets, "_orbit_rule", rule_spy)
+    monkeypatch.setattr(period_sets, "_irreducible_order", order_spy)
+    return orbits, asked
+
+
 def test_order_set_bruteforce_orders_exactly_the_irreducibles(monkeypatch):
-    # each product is marked, so only the irreducibles (x aside) reach the
-    # order of x, each once; a product not marked would reach it too
-    order_of_x = period_sets._irreducible_order
+    # each product is marked, so only the irreducibles (x aside) get an
+    # order, each one: the orbits cover them, no two orbits share one, and
+    # the order of x is taken once per orbit, for its first member in walk
+    # order; a product not marked would open an orbit of its own
+    orbits, asked = spy_orbits(monkeypatch)
     for q, k in ((2, 8), (3, 5), (4, 4), (5, 3)):
         field = make_field(*split_prime_power(q))
-        seen = []
-
-        def spy(field, coeffs):
-            seen.append(coeffs)
-            return order_of_x(field, coeffs)
-
-        monkeypatch.setattr("period_lab.period_sets._irreducible_order", spy)
+        orbits.clear()
+        asked.clear()
         order_set_bruteforce(field, k)
         expected = [f.coeffs for d in range(1, k + 1) for f in monic_polys(field, d)
                     if f.constant_term and is_irreducible(f)]
-        assert seen == expected, (q, k)
+        walk = {cs: i for i, cs in enumerate(expected)}
+        members = [set(hs) for _, hs in orbits]
+        assert sum(map(len, members)) == len(expected) == len(set().union(*members)), (q, k)
+        assert set().union(*members) == set(expected), (q, k)
+        assert asked == [first for first, _ in orbits], (q, k)
+        assert all(first == min(hs, key=walk.get) for first, hs in orbits), (q, k)
+        assert asked == sorted(asked, key=walk.get), (q, k)
 
 
 def mobius(n):
@@ -228,34 +257,35 @@ BRUTE_FORCE_GRID = [(2, 8), (3, 5), (4, 4), (5, 3), (8, 3), (9, 3)]
 @pytest.mark.parametrize("q,top", BRUTE_FORCE_GRID, ids=[f"F{q}" for q, _ in BRUTE_FORCE_GRID])
 def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top):
     """For every k up to top, the pass reaches each monic polynomial of
-    degree d <= k with f(0) != 0 once: the irreducibles whose order of x it
-    takes, and the products of two or more factors that it builds with
-    _rmul, number q^d - q^(d-1) in each degree d.  The irreducibles number
-    (1/d) * sum over e | d of mu(e) q^(d/e) (Gauss), less x at d = 1.
-    Below degree k the pass also builds each of them once, as 1 * g, to
-    extend it to its powers; at degree k it builds none of them."""
-    order_of_x, rmul = period_sets._irreducible_order, period_sets._rmul
-    irreducibles, products, ones = {}, {}, {}
+    degree d <= k with f(0) != 0 once: the irreducibles, which the orbits
+    it takes one order of x for cover, and the products of two or more
+    factors that it builds with _rmul, number q^d - q^(d-1) in each degree
+    d.  The irreducibles number (1/d) * sum over e | d of mu(e) q^(d/e)
+    (Gauss), less x at d = 1.  Below degree k the pass also builds each of
+    them once, as 1 * g, to extend it to its powers; at degree k it builds
+    none of them.  _irreducible_order runs once per orbit."""
+    rmul = period_sets._rmul
+    orbits, asked = spy_orbits(monkeypatch)
+    products, ones = {}, {}
 
     def count(counts, d):
         counts[d] = counts.get(d, 0) + 1
-
-    def order_spy(field, coeffs):
-        count(irreducibles, len(coeffs) - 1)
-        return order_of_x(field, coeffs)
 
     def rmul_spy(field, a, b):
         out = rmul(field, a, b)
         count(ones if a == (1,) else products, len(out) - 1)
         return out
 
-    monkeypatch.setattr(period_sets, "_irreducible_order", order_spy)
     monkeypatch.setattr(period_sets, "_rmul", rmul_spy)
     field = make_field(*split_prime_power(q))
     for k in range(1, top + 1):
-        for counts in (irreducibles, products, ones):
-            counts.clear()
+        for found in (orbits, asked, products, ones):
+            found.clear()
         order_set_bruteforce(field, k)
+        irreducibles = {}
+        for h in set().union(*(hs for _, hs in orbits)):
+            count(irreducibles, len(h) - 1)
+        assert len(asked) == len(orbits), (q, k)
         assert set(irreducibles) | set(products) == set(range(1, k + 1)), (q, k)
         for d in range(1, k + 1):
             gauss = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
@@ -285,6 +315,28 @@ def test_order_set_bruteforce_refuses_a_polynomial_reached_twice(monkeypatch):
 
     monkeypatch.setattr("period_lab.period_sets._monic_coeffs", repeating)
     with pytest.raises(LimitExceeded, match=r"reached twice \(bug\?\)$"):
+        order_set_bruteforce(make_field(3), 2)
+
+
+def test_order_set_bruteforce_refuses_a_wrong_orbit(monkeypatch):
+    # an orbit that gives one member two orders, or that holds a product,
+    # here (x + 1)^2 in the orbit of x^2 + 1 over F_3, which the pass never
+    # meets as an irreducible, is a bug
+    rule = period_sets._orbit_rule
+
+    def twice(field, top):
+        orbit = rule(field, top)
+        return lambda coeffs, o: [*orbit(coeffs, o), (coeffs, o + 1)]
+
+    def with_a_square(field, top):
+        orbit = rule(field, top)
+        return lambda coeffs, o: [*orbit(coeffs, o), *[((1, 2, 1), o)] * (coeffs == (1, 0, 1))]
+
+    monkeypatch.setattr(period_sets, "_orbit_rule", twice)
+    with pytest.raises(LimitExceeded, match=r"^orbit member \(1, 1\) given orders 2 and 3 \(bug\?\)$"):
+        order_set_bruteforce(make_field(3), 2)
+    monkeypatch.setattr(period_sets, "_orbit_rule", with_a_square)
+    with pytest.raises(LimitExceeded, match=r"^1 orbit members of degree 2 never met \(bug\?\)$"):
         order_set_bruteforce(make_field(3), 2)
 
 

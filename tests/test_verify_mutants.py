@@ -16,6 +16,7 @@ import textwrap
 import pytest
 
 from period_lab import intfactor, orders, period_sets, rings, verify
+from period_lab.errors import LimitExceeded
 from period_lab.verify import run_verify
 
 
@@ -51,7 +52,7 @@ def _failed_checks():
     return {c.name for c in run_verify("all").checks if not c.passed}
 
 
-# (module, name, old, new, checks that must fail)
+# (module, name, old, new, checks that must fail or the error run_verify must raise)
 MUTANTS = {
     "char-boost-le": (
         orders, "_char_boost", "while pt < multiplicity:", "while pt <= multiplicity:",
@@ -68,17 +69,21 @@ MUTANTS = {
         rings, "lcm_closure", "for s in sets[1:]:", "for s in sets[1:-1]:",
         {"ring-period-set-k1", "ring-period-set-k2", "lcm-closure-exhaustive",
          "group-algebra-a5", "group-algebra-small"}),
+    # the orders it gets wrong give the brute-force pass an orbit member
+    # with two orders, which it refuses
     "order-skips-a-prime": (
         intfactor, "order_from_multiple", "order(x, factored_multiple) if factored_multiple",
-        "order(x, factored_multiple[1:]) if factored_multiple[1:]",
-        {"element-order-f5", "order-x2+x+1", "order-x3+x+1", "order-x5+x4+1",
-         "order-repeated-root", "pipeline-vs-bruteforce"}),
+        "order(x, factored_multiple[1:]) if factored_multiple[1:]", LimitExceeded),
     "local-sets-without-divisors": (
         rings, "group_algebra_max_period", "divisors(m)", "divisors(1)",
         {"group-algebra-local-sets"}),
     "norm-without-sign": (
         orders, "_norm", "(-1) ** (len(key) - 1) * key[0] % p", "key[0]",
         {"pipeline-vs-bruteforce", "exact-route-equality", "lower-bound"}),
+    "orbit-members-take-the-first-order": (
+        orders, "_orbit_rule", "found = [keep * (m // math.gcd(k * e + l, m)) for k in range(m)]",
+        "found = [o] * m",
+        {"closed-form-equality", "exact-route-equality", "lower-bound"}),
     "lower-bound-extra-power": (
         period_sets, "period_set_lower_bound", "[0] + 1)", "[0] + 2)",
         {"lower-bound"}),
@@ -90,6 +95,10 @@ def test_verify_fails_on_mutant(mutate, mutant):
     module, name, old, new, expected = MUTANTS[mutant]
     bound = mutate(module, name, old, new)
     assert module in bound
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            run_verify("all")
+        return
     missed = expected - _failed_checks()
     assert not missed, f"{mutant}: verify passed {sorted(missed)}"
 

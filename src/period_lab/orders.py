@@ -213,8 +213,6 @@ def _orbit_rule(field, top: int):
     omega^((q - 1)/P), and one outside them raises LimitExceeded (a bug).
     At c = -1, in odd characteristic, the rule is _negated_order(o)."""
     m = field.q - 1
-    if m == 1:  # F_2^* = {1} and g(0) = 1: the orbit is g and its reversal g*
-        return lambda coeffs, o: ((coeffs, o), (coeffs[::-1], o))
     pw, mul = field.pow, field.mul
     primes = [(r, r ** b) for r, b in factor_integer(m)]
     omega = next(w for w in field.units() if all(pw(w, m // r) != 1 for r, _ in primes))

@@ -29,6 +29,7 @@ _route_characteristic, while the brute-force route has its budget.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from itertools import islice, repeat
 
@@ -255,7 +256,8 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     g_c* is its monic reciprocal.  The first member the pass meets takes
     its order from _irreducible_order, and orders._orbit_rule gives every
     member its order from that one by field arithmetic.  The members are
-    recorded in a list by base-q index, and each is read back when the
+    recorded by base-q index in an array of q^d 64-bit slots (8 MB at
+    degree k under the default budget), and each is read back when the
     pass meets it, later in the same degree.  Over F_13 at k = 3 that is
     39 orders of x for the 818 irreducibles (210 when each class of
     minimal polynomials over F_p, their reciprocals and their negatives
@@ -295,7 +297,9 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     for d in range(1, k + 1):
         keep = k - d  # stored holds degrees 0..keep
         row = marks[d]
-        known = [0] * q ** d  # base-q index -> order of x, for the orbit members
+        # base-q index -> order of x, for the orbit members: 8 bytes a slot, and
+        # no int object per member (orders of x fit in 64 bits, _check_ceiling)
+        known = array("Q", [0]) * q ** d
         waiting = 0  # members given an order and not yet met
         for i, g in enumerate(_monic_coeffs(field, d)):
             if row[i] or not i % q:  # a product, or divisible by x
@@ -336,6 +340,6 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
                         j += 1
         if waiting:
             raise LimitExceeded(f"{waiting} orbit members of degree {d} never met (bug?)")
-        marks[d] = None
+        marks[d] = known = None  # freed before the next degree's are made
         del stored[keep:]
     return PeriodSet.of(orders)

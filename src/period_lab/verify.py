@@ -9,7 +9,8 @@ and group-algebra results.
 A check is a function that returns (expected, computed), written under
 `@_check(name, scope, claim)`.  The decorator appends the check to
 _CHECKS once, at import, so run_verify runs the checks in the order they
-are defined in this module.
+are defined in this module.  A check that raises fails, and the checks
+after it still run.
 """
 
 from __future__ import annotations
@@ -372,7 +373,9 @@ def _check_group_algebra_small():
 
 
 def run_verify(scope: str = "all") -> VerifyReport:
-    """Run the verification checks for a scope; deterministic."""
+    """Run the verification checks for a scope; deterministic.  A check
+    that raises fails, with the error as its computed value and
+    "no error" as its expected one."""
     if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose all, " + ", ".join(SCOPES))
     results = []
@@ -380,16 +383,20 @@ def run_verify(scope: str = "all") -> VerifyReport:
         if scope != "all" and check_scope != scope:
             continue
         start = time.perf_counter()
-        expected, computed = fn()
+        try:
+            expected, computed = fn()
+            expected, computed, passed = repr(expected), repr(computed), expected == computed
+        except Exception as exc:  # an error fails this check, and the others still run
+            expected, computed, passed = "no error", f"{type(exc).__name__}: {exc}", False
         elapsed = (time.perf_counter() - start) * 1000.0
         results.append(
             CheckResult(
                 name=name,
                 scope=check_scope,
                 claim=claim,
-                expected=repr(expected),
-                computed=repr(computed),
-                passed=expected == computed,
+                expected=expected,
+                computed=computed,
+                passed=passed,
                 elapsed_ms=elapsed,
             )
         )

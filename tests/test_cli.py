@@ -11,7 +11,7 @@ import pytest
 
 from period_lab import cli, rings, sequences, verify
 from period_lab.cli import main
-from period_lab.errors import OutOfRange, default_budget
+from period_lab.errors import LimitExceeded, OutOfRange, default_budget
 from period_lab.ff import parse_field_spec
 from period_lab.poly import parse_poly
 
@@ -449,6 +449,23 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL always-wrong (")
     assert out.splitlines()[1:] == ["     expected 1", "     computed 2", "0/1 checks passed"]
+
+
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    # the error fails its own check, and the checks after it still run
+    def broken():
+        raise LimitExceeded("boom (bug?)")
+
+    monkeypatch.setattr(verify, "_CHECKS", (
+        ("raises", "rings", "never raises", broken),
+        ("always-right", "rings", "1 equals 1", lambda: (1, 1))))
+    code, out, _ = run_cli(capsys, "verify", "--scope", "rings")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL raises (")
+    assert lines[1:3] == ["     expected no error", "     computed LimitExceeded: boom (bug?)"]
+    assert lines[3].startswith("PASS always-right (")
+    assert lines[4] == "1/2 checks passed"
 
 
 def test_pipeline_check_fails_when_brute_force_disagrees(monkeypatch):

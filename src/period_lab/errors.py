@@ -87,8 +87,12 @@ class ParseError(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """A brute-force search or walk passed its provable bound (a state walk
-    its total state count, an order walk q^d - 1); indicates a bug."""
+    """A computation broke a rule that its proof guarantees, which
+    indicates a bug: a state walk passed its total state count, an order
+    walk q^d - 1; the orbit rule met a power of x that is not a constant,
+    or a constant outside the subgroup it must lie in; the brute-force
+    period set gave one polynomial two orders, left an orbit member
+    unmet, or reached a product twice."""
 
 
 class BudgetExceeded(RuntimeError):

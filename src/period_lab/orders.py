@@ -18,21 +18,11 @@ polynomial M of a over F_p (the product of the conjugates of g under
 c -> c^p), and _order_by_key computes and caches the order of x modulo M
 on a packed prime-field kernel, which poly._prime_kernel builds from p
 alone, so the conjugates of g share one entry and no F_p object is made.
-Part of the order is found on plain ints: the norm (-1)^d * M(0) of a
-root, an element of F_p, has an order n1 that divides it, so the kernel
-takes only the order of x^n1, from the multiple (p^d - 1)/(p - 1).  A
-root and its inverse have one order, and over odd p the order of -a
-follows from the order o of a: in a field, -1 is the only element of
-order 2, so for even o, -a = a^(1 + o/2), of order o/2 when o = 2
-(mod 4) and o when 4 | o, and for odd o, -1 is not in <a> and -a has
-order 2o.  So the entry and its kernel are keyed on the least of M, its
-monic reciprocal M* (the inverses of M's roots), M- = (-1)^deg(M) M(-x)
-(their negatives) and M-*, and an order keyed on M- or M-* is mapped
-back.  _orbit_rule carries one order of x to the whole orbit of g under
-F_q^* and reciprocals: the order of c*a follows from that of a by one
-power of x that is a constant and by discrete logs in F_q^*, and
-_negated_order is its case c = -1.  Every product here runs on a kernel
-built for the one modulus it serves; this module reads no field tables.
+_orbit_rule carries one order of x to the whole orbit of g under F_q^*
+and reciprocals: the order of c*a follows from that of a by one power of
+x that is a constant and by discrete logs in F_q^*.  Every product here
+runs on a kernel built for the one modulus it serves; this module reads
+no field tables.
 """
 
 from __future__ import annotations
@@ -113,55 +103,16 @@ def _prime_field_minimal_poly(field, coeffs: tuple) -> tuple:
         out = mul(out, conj)
 
 
-def _norm(p: int, key) -> int:
-    """(-1)^d * M(0) mod p for the monic irreducible M = `key` of degree d
-    over F_p: the norm a^S, S = (p^d - 1)/(p - 1), of a root a of M
-    (Lidl & Niederreiter, ch. 2).  The roots of M are a^(p^i) for i < d,
-    so M(0) = (-1)^d * a^(1 + p + ... + p^(d-1)) = (-1)^d * a^S."""
-    return (-1) ** (len(key) - 1) * key[0] % p
-
-
 @lru_cache(maxsize=1 << 14)
 def _order_by_key(p: int, key) -> int:
     """Order of x modulo the monic irreducible M = `key` (its coefficients
-    over F_p, as bytes or a tuple) of degree d: the order o of a root a of
-    M in F_{p^d}^*, with N = p^d - 1 and S = N/(p - 1).
-
-    a^S is the norm (-1)^d * M(0), an element of F_p^* (_norm), whose
-    order n1 is found from the multiple p - 1 by integer powers mod p.
-    a^S has order o/gcd(o, S), so n1 = o/gcd(o, S) divides o, and a^n1
-    has order o/n1 = gcd(o, S), a divisor of S.  So o = n1 * ord(a^n1):
-    the kernel of M takes x^n1 and then its order from the multiple S,
-    whose factorization is N's less p - 1's, so no further integer is
-    factored.  For d = 1, S = 1 and o = n1, with no kernel built; over
-    F_2, p - 1 = 1, so n1 = 1 and S = N."""
-    unit = factor_integer(p - 1)
-    n1 = order_from_multiple(unit, _norm(p, key),
-                             lambda y, e: pow(y, e, p), lambda y: y == 1)
-    d = len(key) - 1
-    if d == 1:
-        return n1
-    less = dict(unit)
-    s = tuple((r, a - less.get(r, 0)) for r, a in factor_integer(p ** d - 1)
-              if a > less.get(r, 0))
+    over F_p, as bytes or a tuple) of degree D: the order of a root of M
+    in F_{p^D}^*, found on M's kernel from the multiple p^D - 1.  At
+    D = 1 the kernel reduces x to the root -M(0)."""
     k = _prime_kernel(p, tuple(key))
     one = k.one
-    return n1 * order_from_multiple(s, k.power(k.pack((0, 1)), n1),
-                                    k.power, lambda y: y == one)
-
-
-def _negated_order(o: int) -> int:
-    """The order of -a from the order o of a, in a field of odd
-    characteristic: 2o for odd o, o/2 for o = 2 (mod 4), o when 4 | o.
-
-    -1 is the only element of order 2, so for even o, a^(o/2) = -1 and
-    -a = a^(1 + o/2), whose order is o / gcd(1 + o/2, o): 1 + o/2 is odd,
-    and prime to o/2, so the gcd is 2 when o/2 is odd and 1 when it is
-    even.  For odd o, -1 is not in <a>, so (-a)^n = 1 needs n even and
-    a^n = 1, and the order is 2o.  The map is an involution."""
-    if o & 1:
-        return 2 * o
-    return o >> 1 if o & 3 == 2 else o
+    return order_from_multiple(factor_integer(p ** (len(key) - 1) - 1), k.pack((0, 1)),
+                               k.power, lambda y: y == one)
 
 
 def _x_power_constant(field, coeffs: tuple, n: int) -> int:
@@ -211,7 +162,9 @@ def _orbit_rule(field, top: int):
     built when P = 1 (z = 1) or P = 2 (z = -1, the one element of order
     2, omega^((q - 1)/2)); otherwise z is found among the P powers of
     omega^((q - 1)/P), and one outside them raises LimitExceeded (a bug).
-    At c = -1, in odd characteristic, the rule is _negated_order(o)."""
+    At c = -1, in odd characteristic, g_c is (-1)^d * g(-x), the minimal
+    polynomial of -a, so the orbit holds each irreducible's negative as
+    well as its reciprocal."""
     m = field.q - 1
     pw, mul = field.pow, field.mul
     primes = [(r, r ** b) for r, b in factor_integer(m)]
@@ -262,35 +215,13 @@ def _irreducible_order(field, coeffs: tuple) -> int:
     The 64-bit ceiling is checked first, on the caller's (d, q).  Over an
     extension field the modulus becomes its minimal polynomial M over F_p
     (_prime_field_minimal_poly), of degree s*d with p^(s*d) - 1 dividing
-    q^d - 1; over F_p, M is g.  The roots of the monic reciprocal
-    M* = x^deg(M) * M(1/x) / M(0) are the inverses of the roots of M, and
-    a root and its inverse have one order.  Over odd p the roots of
-    M- = (-1)^deg(M) * M(-x) are the negatives of M's, whose order follows
-    from M's by _negated_order, and M-* is the reciprocal of M-.  So the
-    order is cached under (p, min(M, M*, M-, M-*)), with the key as bytes
-    when p <= 256: the s conjugates of g, their reciprocals and their
-    negatives share one entry, and an order keyed on M- or M-* is mapped
-    back.  M* is M reversed, scaled by 1/M(0); M- is M with the
-    coefficients of x^(deg - 1), x^(deg - 3), ... negated.  Over F_2 the
-    same rule gives the key min(M, M*): -1 = 1, so M- = M, and M(0) = 1."""
+    q^d - 1; over F_p, M is g.  The order is cached under (p, M), with M
+    as bytes when p <= 256, so the s conjugates of g share one entry."""
     _check_ceiling(len(coeffs) - 1, field.q)
     if field.e > 1:
         coeffs = _prime_field_minimal_poly(field, coeffs)
     p = field.p
-    coeffs = list(coeffs)
-    star = coeffs[::-1]
-    c0 = coeffs[0]
-    if c0 != 1:
-        inv = pow(c0, -1, p)
-        star = [c * inv % p for c in star]
-    neg, negstar = coeffs[:], star[:]
-    neg[-2::-2] = [p - c if c else 0 for c in coeffs[-2::-2]]
-    negstar[-2::-2] = [p - c if c else 0 for c in star[-2::-2]]
-    plus, minus = min(coeffs, star), min(neg, negstar)
-    negated = minus < plus
-    key = minus if negated else plus
-    order = _order_by_key(p, bytes(key) if p <= 256 else tuple(key))
-    return _negated_order(order) if negated else order
+    return _order_by_key(p, bytes(coeffs) if p <= 256 else tuple(coeffs))
 
 
 def irreducible_order(g: Poly) -> int:

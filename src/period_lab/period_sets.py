@@ -259,13 +259,12 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     recorded by base-q index in an array of q^d 64-bit slots (8 MB at
     degree k under the default budget), and each is read back when the
     pass meets it, later in the same degree.  Over F_13 at k = 3 that is
-    39 orders of x for the 818 irreducibles (210 when each class of
-    minimal polynomials over F_p, their reciprocals and their negatives
-    took one).  Multiplying by c fixes g for at most d values of c, so an
-    orbit has at least (q - 1)/d members, and the 2(q - 1) members built
-    for it are at most 2d per irreducible.  A member given two orders, a
-    power of x that should be a constant and is not, or a member not met
-    by the end of its degree is a bug (LimitExceeded).
+    39 orders of x for the 818 irreducibles.  Multiplying by c fixes g
+    for at most d values of c, so an orbit has at least (q - 1)/d
+    members, and the 2(q - 1) members built for it are at most 2d per
+    irreducible.  A member given two orders, a power of x that should be
+    a constant and is not, or a member not met by the end of its degree
+    is a bug (LimitExceeded).
 
     Each polynomial is reached once, by unique factorization: with its
     irreducible factors in walk order (by degree, then index), it is

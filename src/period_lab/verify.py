@@ -176,8 +176,7 @@ def _check_oracle_agreement():
     # every monic polynomial of degree 1..3 over F_2, F_3, F_4 and F_5, and
     # of degree 1..2 over F_8 and F_9: the extension fields take the order
     # of each irreducible factor over the prime field, F_8 through three
-    # conjugates; over F_5 an order may be keyed on the negated minimal
-    # polynomial in every degree
+    # conjugates
     mismatches = []
     for q, top in ((2, 3), (3, 3), (4, 3), (5, 3), (8, 2), (9, 2)):
         field = make_field(*split_prime_power(q))

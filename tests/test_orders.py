@@ -320,10 +320,9 @@ def test_order_set_bruteforce_computes_one_order_per_minimal_polynomial(monkeypa
     have 381 minimal polynomials over F_2, which pair with their
     reciprocals into 196 classes (over F_2, M- = M), and fall into 55
     orbits {g_c, g_c* : c in F_16^*}.  order_set_bruteforce asks for the
-    order of x of each orbit's first member, and the first members whose
-    minimal polynomials share a class share one _order_by_key entry: 24
-    misses and 31 hits (196 misses when each class took one).  The cache
-    is keyed on the int p."""
+    order of x of each orbit's first member, and the first members that
+    share a minimal polynomial share one _order_by_key entry: 24 misses
+    and 31 hits.  The cache is keyed on the int p."""
     F16 = make_field(2, 4)
     found = irreducibles(F16, 3)
     minimal = {prime_field_minimal_poly(g) for g in found}
@@ -338,7 +337,7 @@ def test_order_set_bruteforce_computes_one_order_per_plus_minus_class(monkeypatc
     fall into 210 classes {M, M*, M-, M-*}, and into 39 orbits
     {g_c, g_c* : c in F_13^*}, each a union of such classes (M- is g_c at
     c = -1): order_set_bruteforce finds the order of x once per orbit,
-    each a miss (210 when each class took one)."""
+    each a miss."""
     F13 = make_field(13)
     found = irreducibles(F13, 3)
     orbits = {orbit_of(g) for g in found}
@@ -375,13 +374,25 @@ def count_kernel_products(monkeypatch, field, k):
 
 
 def test_order_set_bruteforce_kernel_products(monkeypatch):
-    """One order of x per orbit: over F_13 at k = 3 the 39 orders make 483
-    kernel products (2,697 for the 210 orders of the classes
-    {M, M*, M-, M-*}), and 25 orbits take one constant power of x; the
-    other 14 have P <= 2.  Over F_16 the 24 orders make 712 products
-    (6,405 for 196), and 45 of the 55 orbits take a constant power of x."""
-    assert count_kernel_products(monkeypatch, make_field(13), 3) == (483, 25)
+    """One order of x per orbit, each from the multiple p^D - 1: over F_13
+    at k = 3 the 39 orders make 1,038 kernel products, and 25 orbits take
+    one constant power of x; the other 14 have P <= 2.  Over F_16 the 24
+    orders make 712 products, and 45 of the 55 orbits take a constant
+    power of x."""
+    assert count_kernel_products(monkeypatch, make_field(13), 3) == (1038, 25)
     assert count_kernel_products(monkeypatch, make_field(2, 4), 3) == (712, 45)
+
+
+def assert_one_miss_per_minimal_polynomial(found):
+    """From a cleared cache, the orders of x of the irreducibles `found`
+    take one _order_by_key miss per distinct minimal polynomial over F_p,
+    and hit its entry for every other one."""
+    minimal = {prime_field_minimal_poly(g) for g in found}
+    _order_by_key.cache_clear()
+    for g in found:
+        irreducible_order(g)
+    info = _order_by_key.cache_info()
+    assert (info.misses, info.hits) == (len(minimal), len(found) - len(minimal))
 
 
 # (p, e, top): every degree d <= top has q^d <= 2^12
@@ -392,8 +403,7 @@ def test_reciprocals_share_one_order(p, e, top):
     g(0) != 0 and q^d <= 2^12, self-reciprocal ones included, the order
     of x modulo g and modulo g*, each with the cache cleared first, is the
     walk's order for g.  Over all of them the cache takes one miss per
-    class {M, M*, M-, M-*} of minimal polynomials over F_p, their
-    reciprocals and their negatives: 133 over F_3 at degree <= 7."""
+    minimal polynomial over F_p: over a prime field, one per irreducible."""
     F = make_field(p, e)
     found = irreducibles(F, top)
     done, selves = set(), 0
@@ -408,25 +418,12 @@ def test_reciprocals_share_one_order(p, e, top):
             _order_by_key.cache_clear()
             assert irreducible_order(h) == want, (str(g), str(h))
     assert done == set(found) and selves >= 1
-    classes = {order_class(g) for g in found}
-    assert (p, e, top) != (3, 1, 7) or len(classes) == 133
-    _order_by_key.cache_clear()
-    for g in found:
-        irreducible_order(g)
-    info = _order_by_key.cache_info()
-    assert (info.misses, info.hits) == (len(classes), len(found) - len(classes))
-
-
-def test_negated_order_pins():
-    """ord(-a) from ord(a) = o: 2o for odd o, o/2 for o = 2 (mod 4), o
-    when 4 | o; an involution."""
-    assert [orders._negated_order(o) for o in (1, 2, 3, 4, 5, 6, 8, 12)] == [2, 1, 6, 4, 10, 3, 8, 12]
-    assert all(orders._negated_order(orders._negated_order(o)) == o for o in range(1, 200))
+    assert_one_miss_per_minimal_polynomial(found)
 
 
 # (p, e, top): the odd fields up to F_27, each to the top degree with q^d <= 2^12,
 # and F_11 and F_31: F_7, F_11, F_13 and F_31 are prime fields whose p - 1 has
-# two or three primes, for the order n1 of the norm to split
+# two or three primes, each of them a prime of the multiple p^d - 1
 PLUS_MINUS_GRID = [(3, 1, 7), (5, 1, 5), (7, 1, 4), (3, 2, 3), (13, 1, 3), (5, 2, 2), (3, 3, 2),
                    (11, 1, 3), (31, 1, 2)]
 
@@ -447,34 +444,26 @@ def plus_minus_mismatches(p, e, top):
 @pytest.mark.parametrize("p,e,top", PLUS_MINUS_GRID,
                          ids=[f"F{p ** e}" for p, e, _ in PLUS_MINUS_GRID])
 def test_plus_minus_class_orders_match_the_walk(p, e, top):
-    """Over odd p the order cache keys the class {M, M*, M-, M-*} and maps
-    an order keyed on M- or M-* through _negated_order; every member of
-    every class gets the walk's order, whichever member is the key."""
+    """Over odd p, every member of every class {g, g*, g-, g-*} gets the
+    walk's order from its own minimal polynomial over F_p, and the cache
+    takes one miss per minimal polynomial over all the irreducibles."""
     assert plus_minus_mismatches(p, e, top) == []
+    assert_one_miss_per_minimal_polynomial(irreducibles(make_field(p, e), top))
 
 
-def test_plus_minus_grid_fails_without_the_negated_order(monkeypatch):
-    """With ord(-a) taken as ord(a) the grid fails on every field, already
-    at degree 1: x + 2 over F_3, keyed on x + 1 (order 2), would get
-    order 2 in place of 1."""
-    monkeypatch.setattr(orders, "_negated_order", lambda o: o)
-    assert plus_minus_mismatches(3, 1, 1) == ["x+2"] * 4
-    assert all(plus_minus_mismatches(p, e, 1) for p, e, _ in PLUS_MINUS_GRID)
-
-
-def test_plus_minus_grid_fails_without_the_norm_sign(monkeypatch):
-    """_order_by_key takes the order n1 of the norm (-1)^d * M(0) mod p,
-    then the order of x^n1 from (p^d - 1)/(p - 1).  With the norm taken as
-    M(0), dropping (-1)^d, x + 1 over F_3, whose root -1 has order 2,
-    reads order 1, and the grid fails over F_7, F_11, F_13 and F_31
-    already at degree <= 2."""
-    monkeypatch.setattr(orders, "_norm", lambda p, key: key[0])
-    try:
+# p: F_2 and F_3; F_257, the first p keyed by a tuple; the wide slots of F_65537
+# and F_1048573
+@pytest.mark.parametrize("p", [2, 3, 257, 65537, 1048573])
+def test_degree_one_orders_run_on_the_kernel(p):
+    """A degree-1 modulus x + c runs on the kernel like any other: it
+    reduces x to the root -c, whose order the field's
+    multiplicative_order finds by integer powers."""
+    F = make_field(p)
+    rng = random.Random(p)
+    sample = range(1, p) if p < 50 else rng.sample(range(1, p), 50)
+    for c in sample:
         _order_by_key.cache_clear()
-        assert _irreducible_order(F3, (1, 1)) == 1
-        assert all(plus_minus_mismatches(p, 1, 2) for p in (7, 11, 13, 31))
-    finally:
-        _order_by_key.cache_clear()
+        assert irreducible_order(Poly(F, (c, 1))) == F.multiplicative_order(F.neg(c)), (p, c)
 
 
 # (p, e, top): prime fields to F_31 and extension fields to F_49, q - 1 with
@@ -515,7 +504,7 @@ def test_orbit_orders_match_the_walk(p, e, top):
 
 def test_orbit_rule_at_minus_one_is_the_negated_order():
     """Over odd q, g_c at c = -1 is g- = (-1)^d * g(-x), and the rule gives
-    it _negated_order of g's order."""
+    it the walk's order of g-."""
     for p, e, top in ORBIT_GRID:
         if p == 2:
             continue
@@ -524,7 +513,7 @@ def test_orbit_rule_at_minus_one_is_the_negated_order():
         for g in irreducibles(F, top):
             o = _irreducible_order(F, g.coeffs)
             members = dict(rule(g.coeffs, o))
-            assert members[negative(g).coeffs] == orders._negated_order(o), (p, e, str(g))
+            assert members[negative(g).coeffs] == walked_order(negative(g)), (p, e, str(g))
 
 
 def test_orbit_grid_fails_when_members_take_the_first_ones_order(monkeypatch):

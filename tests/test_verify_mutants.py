@@ -78,9 +78,13 @@ MUTANTS = {
     "local-sets-without-divisors": (
         rings, "group_algebra_max_period", "divisors(m)", "divisors(1)",
         {"group-algebra-local-sets"}),
-    "norm-without-sign": (
-        orders, "_norm", "(-1) ** (len(key) - 1) * key[0] % p", "key[0]",
-        {"pipeline-vs-bruteforce", "exact-route-equality", "lower-bound"}),
+    # the order of x modulo M of degree D from p^D + 1, which it need not
+    # divide, in place of the multiple p^D - 1
+    "order-of-x-wrong-multiple": (
+        orders, "_order_by_key", "p ** (len(key) - 1) - 1", "p ** (len(key) - 1) + 1",
+        {"order-x2+x+1", "order-x3+x+1", "order-x5+x4+1", "order-repeated-root",
+         "pipeline-vs-bruteforce", "closed-form-equality", "degree5-strictness",
+         "exact-route-equality", "lower-bound"}),
     "orbit-members-take-the-first-order": (
         orders, "_orbit_rule", "found = [keep * (m // math.gcd(k * e + l, m)) for k in range(m)]",
         "found = [o] * m",

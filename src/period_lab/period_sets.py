@@ -52,7 +52,7 @@ from .intfactor import (
     split_prime_power,
 )
 from .orders import _char_boost, _irreducible_order, _orbit_rule
-from .poly import _monic_coeffs, _rmul
+from .poly import _Slots, _monic_coeffs, _rmul
 
 
 class PeriodSet(Record):
@@ -234,6 +234,51 @@ def period_set_exact(k: int, q: int, *, budget: int | None = None) -> PeriodSet:
     return PeriodSet.of(final.union(best))
 
 
+def _base_q_index(q, cs) -> int:
+    """The base-q index of a monic coefficient tuple, its place in
+    _monic_coeffs: coefficient i weighs q^i, and the leading 1 nothing."""
+    index = 0
+    for c in cs[-2::-1]:
+        index = index * q + c
+    return index
+
+
+def _product_step(field: FieldCtx, k: int):
+    """(pack, times, unpack) for the products of order_set_bruteforce over
+    the field, monic of degree <= k.  pack turns a coefficient tuple into
+    the form the pass stores and unpack turns that form back;
+    times(u, g, deg) is (u * g, the base-q index of u * g) for stored forms
+    u and g with deg u + deg g = deg.
+
+    Over F_p the form is an int of poly's _Slots, coefficient i in slot i.
+    u * g is one int product, its slot sums taken mod p at once by the
+    magic multiplication.  Its index is slot deg - 1 of (u * g) * r, where
+    r holds q^j in slot deg - 1 - j: that slot sums c_i * q^i over i < deg,
+    and each slot below it sums less than q^deg, so slots of at least the
+    bits of q^k - 1 carry nothing into it.  Over an extension field the
+    form is the tuple, multiplied by _rmul and indexed by Horner's rule."""
+    q = field.q
+    if field.e > 1:
+        def times(u, g, deg):
+            w = _rmul(field, u, g)
+            return w, _base_q_index(q, w)
+
+        return tuple, times, tuple
+    p = field.p
+    S = _Slots(p, k + 1, (q ** k - 1).bit_length())
+    w, s, magic, mask, m = S.w, S.s, S.magic, S.mask, (1 << S.w) - 1
+    degrees = range(1, k + 1)
+    weights = [None] + [S.pack([q ** (deg - 1 - i) for i in range(deg)]) for deg in degrees]
+    shifts = [None] + [w * (deg - 1) for deg in degrees]
+
+    def times(u, g, deg):
+        v = u * g
+        v -= p * (v * magic >> s & mask)
+        return v, v * weights[deg] >> shifts[deg] & m
+
+    return S.pack, times, S.unpack
+
+
 def order_set_bruteforce(field: FieldCtx, k: int, *,
                          budget: int | None = None) -> PeriodSet:
     """{ord(f) : f monic of degree k over the field}, by one pass that
@@ -247,9 +292,11 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
     degree d with g(0) != 0 is irreducible.  Each stored product u is then
     extended by g to u * g^j, of order lcm(L_u, ord g) * p^t: L_u is the
     lcm of the orders of u's factors, and p^t the least power of p >= the
-    top multiplicity (Lidl & Niederreiter, Thm 3.8).  At d = k the only
-    stored product is 1, so g adds only its own order: no product is built
-    or marked.
+    top multiplicity (Lidl & Niederreiter, Thm 3.8).  _product_step
+    builds each product and reads its index: over F_p from packed ints, by
+    two int multiplications, over an extension field by _rmul and Horner's
+    rule.  At d = k the only stored product is 1, so g adds only its own
+    order: no product is built or marked.
 
     The order of x is computed once per orbit {g_c, g_c* : c in F_q^*} of
     irreducibles, where g_c = c^d * g(x/c) has the roots of g times c and
@@ -288,10 +335,12 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
         raise BudgetExceeded(f"{shown} polynomials exceed the budget {budget}")
     boost = [_char_boost(field.p, m)[1] for m in range(k + 1)]
     orbit = _orbit_rule(field, k)
+    pack, times, unpack = _product_step(field, k)
     marks = [None] + [bytearray(q ** d) for d in range(1, k + 1)]
     # stored[a]: the products of degree a that a later irreducible can
-    # extend, as (coefficients, lcm of the factors' orders, top multiplicity)
-    stored = [[((1,), 1, 0)]] + [[] for _ in range(k - 1)]
+    # extend, as (the product in _product_step's form, lcm of the factors'
+    # orders, top multiplicity)
+    stored = [[(pack((1,)), 1, 0)]] + [[] for _ in range(k - 1)]
     orders = {1}
     for d in range(1, k + 1):
         keep = k - d  # stored holds degrees 0..keep
@@ -305,9 +354,7 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
                 continue
             if not known[i]:  # the first of its orbit: the one order of x it takes
                 for h, t in orbit(g, _irreducible_order(field, g)):
-                    index = 0
-                    for c in h[-2::-1]:
-                        index = index * q + c
+                    index = _base_q_index(q, h)
                     if not known[index]:
                         known[index] = t
                         waiting += 1
@@ -319,17 +366,15 @@ def order_set_bruteforce(field: FieldCtx, k: int, *,
             if not keep:  # degree k: 1 * g is g, of order e, and nothing follows
                 orders.add(e)
                 continue
+            g = pack(g)
             for a, n in enumerate([len(bucket) for bucket in stored]):
                 for u, lcm_u, top in islice(stored[a], n):
                     lcm_w = math.lcm(lcm_u, e)
                     w, deg, j = u, a + d, 1
                     while deg <= k:
-                        w = _rmul(field, w, g)
-                        index = 0
-                        for c in w[-2::-1]:
-                            index = index * q + c
+                        w, index = times(w, g, deg)
                         if marks[deg][index]:
-                            raise LimitExceeded(f"product {w} reached twice (bug?)")
+                            raise LimitExceeded(f"product {unpack(w)} reached twice (bug?)")
                         marks[deg][index] = 1
                         m = max(top, j)
                         orders.add(lcm_w * boost[m])

@@ -262,12 +262,14 @@ class _Slots:
     """Polynomials over F_p of at most n coefficients as ints that
     hold coefficient i in bits [w*i, w*(i+1)).  Products and divisions add
     into the slots unreduced; no sum crosses a slot (see _slot_width), and
-    reduce takes every slot mod p at once."""
+    reduce takes every slot mod p at once.  A slot is at least `least`
+    bits wide, for a caller that also adds other sums into the slots."""
 
     __slots__ = ("p", "w", "s", "magic", "mask", "pones")
 
-    def __init__(self, p, n):
+    def __init__(self, p, n, least=0):
         w, s, magic = _slot_width(p, n)
+        w = max(w, least)
         ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in each of n slots
         self.p, self.w, self.s, self.magic = p, w, s, magic
         self.mask, self.pones = ones * ((1 << w - s) - 1), ones * p
@@ -759,14 +761,18 @@ def factor(f: Poly) -> Factorization:
     return Factorization(unit, tuple((_mk(F, cs), m) for cs, m in _factor_parts(F, w)[0]))
 
 
+_REVERSED = operator.itemgetter(slice(None, None, -1))
+
+
 def _monic_coeffs(field: FieldCtx, degree: int):
     """The coefficient tuples of the monic polynomials of the given degree,
     in little-endian counting order on the coefficient vector (constant
-    term varies fastest): the i-th has the base-q index i."""
+    term varies fastest): the i-th has the base-q index i.  product varies
+    its last factor fastest, so each (1, c_(d-1), ..., c_0) it makes is
+    read backwards, with no Python-level step per tuple."""
     if degree < 0:
         raise OutOfRange("degree must be >= 0")
-    for cs in itertools.product(range(field.q), repeat=degree):
-        yield (*reversed(cs), 1)
+    return map(_REVERSED, itertools.product((1,), *[range(field.q)] * degree))
 
 
 def monic_polys(field: FieldCtx, degree: int):

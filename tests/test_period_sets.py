@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from period_lab.period_sets import (
     set_product,
     set_scale,
 )
-from period_lab.poly import is_irreducible, monic_polys, parse_poly
+from period_lab.poly import _rmul, _slot_width, is_irreducible, monic_polys, parse_poly
 
 
 def set_union(*sets) -> PeriodSet:
@@ -259,24 +260,32 @@ def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top)
     """For every k up to top, the pass reaches each monic polynomial of
     degree d <= k with f(0) != 0 once: the irreducibles, which the orbits
     it takes one order of x for cover, and the products of two or more
-    factors that it builds with _rmul, number q^d - q^(d-1) in each degree
-    d.  The irreducibles number (1/d) * sum over e | d of mu(e) q^(d/e)
-    (Gauss), less x at d = 1.  Below degree k the pass also builds each of
-    them once, as 1 * g, to extend it to its powers; at degree k it builds
-    none of them.  _irreducible_order runs once per orbit."""
-    rmul = period_sets._rmul
+    factors that it builds with its product step, number q^d - q^(d-1) in
+    each degree d.  The irreducibles number (1/d) * sum over e | d of
+    mu(e) q^(d/e) (Gauss), less x at d = 1.  Below degree k the pass also
+    builds each of them once, as 1 * g, to extend it to its powers; at
+    degree k it builds none of them.  _irreducible_order runs once per
+    orbit."""
+    step = period_sets._product_step
     orbits, asked = spy_orbits(monkeypatch)
     products, ones = {}, {}
 
     def count(counts, d):
         counts[d] = counts.get(d, 0) + 1
 
-    def rmul_spy(field, a, b):
-        out = rmul(field, a, b)
-        count(ones if a == (1,) else products, len(out) - 1)
-        return out
+    def step_spy(field, k):
+        pack, times, unpack = step(field, k)
+        one = pack((1,))
 
-    monkeypatch.setattr(period_sets, "_rmul", rmul_spy)
+        def counted(u, g, deg):
+            w, index = times(u, g, deg)
+            assert len(unpack(w)) - 1 == deg
+            count(ones if u == one else products, deg)
+            return w, index
+
+        return pack, counted, unpack
+
+    monkeypatch.setattr(period_sets, "_product_step", step_spy)
     field = make_field(*split_prime_power(q))
     for k in range(1, top + 1):
         for found in (orbits, asked, products, ones):
@@ -292,6 +301,38 @@ def test_order_set_bruteforce_reaches_every_polynomial_once(monkeypatch, q, top)
             assert irreducibles[d] == gauss - (d == 1), (q, k, d)
             assert ones.get(d, 0) == (irreducibles[d] if d < k else 0), (q, k, d)
             assert irreducibles[d] + products.get(d, 0) == q ** d - q ** (d - 1), (q, k, d)
+
+
+# (q, k): the index of F_2 at k = 16 needs wider slots than _slot_width
+# gives, and p = 1048573 is the largest prime below the 2^20 ceiling
+PRODUCT_STEP_GRID = [(2, 16), (3, 8), (13, 3), (31, 3), (257, 2), (1048573, 2)]
+
+
+@pytest.mark.parametrize("q,k", PRODUCT_STEP_GRID, ids=[f"F{q}-k{k}" for q, k in PRODUCT_STEP_GRID])
+def test_packed_product_step_matches_rmul_and_horner(q, k):
+    """The brute-force pass's packed product step over F_p against _rmul
+    and the base-q index by Horner's rule, on seeded random monic pairs
+    u, g with deg u + deg g <= k, and on the pairs whose coefficients are
+    all q - 1, which fill the slots the most."""
+    field = make_field(q)
+    pack, times, unpack = period_sets._product_step(field, k)
+    rng = random.Random(q * 100 + k)
+    pairs = [((q - 1,) * a + (1,), (q - 1,) * (k - a) + (1,)) for a in range(k)]
+    for _ in range(300):
+        a = rng.randrange(k)
+        d = rng.randint(1, k - a)
+        pairs.append((tuple(rng.randrange(q) for _ in range(a)) + (1,),
+                      tuple(rng.randrange(q) for _ in range(d)) + (1,)))
+    for u, g in pairs:
+        want = _rmul(field, u, g)
+        deg = len(want) - 1
+        index = 0
+        for c in reversed(want[:-1]):
+            index = index * q + c
+        w, got = times(pack(u), pack(g), deg)
+        assert (unpack(w), got) == (want, index), (q, k, u, g)
+    if q == 2:
+        assert _slot_width(2, k + 1)[0] < (q ** k - 1).bit_length()
 
 
 def test_order_set_bruteforce_factors_nothing(monkeypatch):

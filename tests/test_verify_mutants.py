@@ -104,6 +104,11 @@ MUTANTS = {
         ff, "_prime_walk", "% p << top", "<< top",
         {"fibonacci-mod-2", "fibonacci-mod-5", "fibonacci-2p-plus-2", "order-x5+x4+1",
          "degree5-cycle", "ring-fibonacci", "lcm-closure-exhaustive"}),
+    # the brute-force pass's packed product over F_p is never taken mod p,
+    # so its index reads a polynomial that is not the product
+    "product-step-without-mod-p": (
+        period_sets, "_product_step", "v -= p * (v * magic >> s & mask)", "v -= 0",
+        {"closed-form-equality", "degree5-strictness", "exact-route-equality", "lower-bound"}),
     "algebra-walk-without-fold": (
         rings, "_algebra_walk", "reduce((t & low) + (t >> nw))", "reduce(t & low)",
         {"group-algebra-a5", "group-algebra-local-sets"}),

@@ -20,11 +20,14 @@ Exit codes: 0 success, 1 computation error or a failing `verify` check,
 stays clean.  main maps UsageError to 2 and a ValueError, ArithmeticError
 or RuntimeError raised by the computation to 1.
 
-Start-up is most of a small command's cost, so main builds the parser
-for the subcommand that argv names and no other (for `ring`, only the
-named ring subcommand).  When argv names none (--help, no command, an
-unknown command, a bare `ring`) it builds them all.  Help, usage and
-error texts are the same either way.
+Start-up is most of a small command's cost, and building an argparse
+parser costs more than most commands' answers, so main reads a
+well-formed argv without one: the named command's _wire_* function
+records its options on an _Options object, and _quick_args reads argv
+against them.  Anything else (--help, --x=v, an abbreviation, a repeat,
+a value that starts with '-', a bad value, a missing option, an extra
+word, no or an unknown command) goes to argparse, so help, usage and
+error texts are argparse's.
 """
 
 from __future__ import annotations
@@ -451,18 +454,12 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, dest: str, table: dict, path: tuple) -> None:
-    """Subparsers for the commands in table, or only for path[0] if path
-    names one.  That one alone gets a metavar listing every name, so that a
-    usage line still reads as with all subparsers built."""
-    metavar = "{" + ",".join(table) + "}" if path else None
-    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+def _add_commands(parser, dest: str, table: dict) -> None:
+    subs = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, wiring) in table.items():
-        if path and path[0] != name:
-            continue
         sub = subs.add_parser(name, help=help_text)
         if isinstance(wiring, dict):
-            _add_commands(sub, f"{name}_command", wiring, path[1:])
+            _add_commands(sub, f"{name}_command", wiring)
         else:
             wiring(sub)
 
@@ -483,22 +480,88 @@ def _command_path(argv) -> tuple:
     return ()
 
 
-def build_parser(path: tuple = ()) -> argparse.ArgumentParser:
-    """The argument parser with every subcommand, or with only the one
-    that path names (see _command_path)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand; main builds it only
+    for an argv that _quick_args does not read."""
     parser = argparse.ArgumentParser(
         prog="period-lab",
         description="Periods of linear recurrences over finite fields, "
                     "products of fields, and cyclic group algebras.",
     )
-    _add_commands(parser, "command", _COMMANDS, path)
+    _add_commands(parser, "command", _COMMANDS)
     return parser
+
+
+class _Options:
+    """The options that a _wire_* function declares: for each --flag its
+    (dest, store_true, type, choices, required), and every default.  It
+    takes only the add_argument keywords that _quick_args reads the way
+    argparse does; any other is a TypeError."""
+
+    def __init__(self):
+        self.flags, self.defaults = {}, {}
+
+    def add_argument(self, flag, *, required=False, default=None, type=None, choices=None,
+                     action=None, help=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"_Options does not read action={action!r}")
+        dest, store_true = flag.lstrip("-").replace("-", "_"), action == "store_true"
+        self.flags[flag] = (dest, store_true, type, choices, required)
+        self.defaults[dest] = False if store_true else default
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+
+
+def _quick_args(argv):
+    """The namespace that build_parser().parse_args(argv) returns, read
+    without argparse when argv is a command followed by exact option
+    strings, each at most once, each non-flag option with a value that does
+    not start with '-' and that converts and is among the choices, and every
+    required option present; None for any other argv."""
+    path = _command_path(argv)
+    if not path:
+        return None
+    wiring = _COMMANDS
+    for name in path:
+        wiring = wiring[name][1]
+    options = _Options()
+    wiring(options)
+    values = dict(options.defaults)
+    words = iter(argv[len(path):])
+    seen = set()
+    for word in words:
+        if word not in options.flags or word in seen:
+            return None
+        seen.add(word)
+        dest, store_true, convert, choices, _ = options.flags[word]
+        if store_true:
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(required and flag not in seen
+           for flag, (*_, required) in options.flags.items()):
+        return None
+    dests = ["command"] + [f"{name}_command" for name in path[:-1]]
+    return argparse.Namespace(**dict(zip(dests, path)), **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_command_path(argv)).parse_args(argv)
+    args = _quick_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         payload, text, rows = args.run(args)
         if args.format == "json":

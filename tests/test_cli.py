@@ -1,7 +1,11 @@
+import argparse
+import importlib.util
 import io
 import itertools
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -516,7 +520,7 @@ def test_verify_json_deterministic(capsys):
     assert first == second
 
 
-# -- the parser: only the named subcommand's is built ----------------------------
+# -- the parser: argparse reads only the argv that _quick_args declines ---------------
 
 # each leaf command with a complete set of its required arguments
 LEAVES = {
@@ -529,59 +533,176 @@ LEAVES = {
     ("algebra",): ["--p", "2", "--n", "3"],
     ("verify",): [],
 }
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr) of parser.parse_args(argv); code None
-    when it parses."""
+def _outcome(call, argv):
+    """(what call(argv) returns, or its exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    code = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            parser.parse_args(argv)
+            result = call(argv)
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _quick_agrees(argv) -> bool:
+    """True when _quick_args(argv) is None or equals argparse's namespace."""
+    quick = cli._quick_args(argv)
+    if quick is None:
+        return True
+    parsed = _outcome(cli.build_parser().parse_args, argv)[0]
+    return isinstance(parsed, argparse.Namespace) and vars(parsed) == vars(quick)
+
+
+def _benchmark_round(seed: int) -> list:
+    """The argvs of one round of the benchmark's `cli` workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    import period_lab as pl
+    mix = workloads.Cli()
+    return [query.argv for query in mix.block(pl, mix.setup(pl), random.Random(seed))]
+
+
+def _random_round(path, rng, count: int) -> list:
+    """count well-formed argvs of the leaf at path: its required options
+    from LEAVES and a random choice of the others, with values of their
+    type or among their choices, in a random order."""
+    wiring = cli._COMMANDS
+    for name in path:
+        wiring = wiring[name][1]
+    options = cli._Options()
+    wiring(options)
+    required = LEAVES[path]
+    argvs = []
+    for _ in range(count):
+        pairs = [required[i:i + 2] for i in range(0, len(required), 2)]
+        for flag, (_, store_true, convert, choices, needed) in options.flags.items():
+            if needed or rng.random() < 0.5:
+                continue
+            if store_true:
+                pairs.append([flag])
+            elif choices:
+                pairs.append([flag, rng.choice(choices)])
+            else:  # forms that int() and argparse both read
+                assert convert is int, flag
+                pairs.append([flag, rng.choice(("7", " 7", "+7", "007", "1_000"))])
+        rng.shuffle(pairs)
+        argvs.append([*path, *itertools.chain.from_iterable(pairs)])
+    return argvs
+
+
+def _mutants(argv, rng) -> list:
+    """argv with one word dropped, two words swapped, a flag and its value
+    joined by '=', a flag cut to a prefix, and one word repeated."""
+    words, out = argv, []
+    if len(words) > 1:
+        i = rng.randrange(1, len(words))
+        out.append(words[:i] + words[i + 1:])
+        j = rng.randrange(1, len(words))
+        swapped = words[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append(swapped)
+        out.append(words + [words[i]])
+    flags = [i for i, w in enumerate(words[:-1]) if w.startswith("--")]
+    if flags:
+        i = rng.choice(flags)
+        out.append(words[:i] + [words[i] + "=" + words[i + 1]] + words[i + 2:])
+        out.append(words[:i] + [words[i][:-1]] + words[i + 1:])
+    return out
+
+
+def test_quick_args_equal_argparse_on_golden_and_leaf_argvs():
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+    argvs = [shlex.split(key) for key in golden]
+    argvs += [[*path, *tail] for path, tail in LEAVES.items()]
+    quick = [argv for argv in argvs if cli._quick_args(argv) is not None]
+    assert all(_quick_agrees(argv) for argv in argvs)
+    # only the golden cases with a negative int or a bad choice fall back
+    assert len(argvs) - len(quick) == 9
+
+
+def test_quick_args_read_every_benchmark_command(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only load
+    for argv in _benchmark_round(1):
+        assert cli._quick_args(argv) is not None, argv
+        assert _quick_agrees(argv), argv
 
 
 @pytest.mark.parametrize("path", LEAVES, ids=" ".join)
-@pytest.mark.parametrize("case", ("help", "missing-required", "bad-choice", "unrecognized"))
-def test_thin_parser_prints_what_the_full_parser_prints(monkeypatch, path, case):
+def test_quick_args_equal_argparse_on_a_random_round(path):
+    rng = random.Random(" ".join(path))
+    for argv in _random_round(path, rng, 20):
+        assert cli._quick_args(argv) is not None, argv
+        assert _quick_agrees(argv), argv
+        for mutant in _mutants(argv, rng):
+            assert _quick_agrees(mutant), mutant
+
+
+ORD = ["ord", "--field", "2", "--poly", "x^5+x^4+1"]
+# argv -> an argv the quick path reads that prints the same, or None when
+# argparse exits (help or a usage error)
+FALLBACKS = {
+    "--format=json": (ORD + ["--format=json"], ORD + ["--format", "json"]),
+    "--form json": (ORD + ["--form", "json"], ORD + ["--format", "json"]),
+    "repeated --format": (ORD + ["--format", "csv", "--format", "json"],
+                          ORD + ["--format", "json"]),
+    "--budget -5": (ORD + ["--budget", "-5"], ORD + ["--budget", "0"]),
+    "--poly -x": (["ord", "--field", "2", "--poly", "-x"], None),
+    "-h": (ORD + ["-h"], None),
+    "--": (["ord", "--", *ORD[1:]], None),
+    "missing --field": (["ord", "--poly", "x^5+x^4+1"], None),
+    "--format xml": (ORD + ["--format", "xml"], None),
+    "--degree x": (["period-set", "--field", "2", "--degree", "x"], None),
+    "extra word": (ORD + ["extra"], None),
+    "bare ring": (["ring"], None),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_argparse_reads_what_the_quick_path_declines(monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "80")
-    tail = {"help": ["--help"], "missing-required": [], "bad-choice": ["--format", "xml"],
-            "unrecognized": LEAVES[path] + ["extra"]}[case]
-    argv = [*path, *tail]
-    assert cli._command_path(argv) == path
-    thin = _parse(cli.build_parser(path), argv)
-    assert thin == _parse(cli.build_parser(), argv)
-    if tail == ["--help"]:
-        assert thin[0] == 0 and thin[1].startswith(f"usage: period-lab {' '.join(path)} ")
-    elif tail or path != ("verify",):  # verify has no required argument
-        assert thin[0] == 2 and thin[2].startswith("usage: period-lab ")
+    argv, same_as = FALLBACKS[case]
+    assert cli._quick_args(argv) is None
+    if same_as is None:
+        expected = _outcome(cli.build_parser().parse_args, argv)
+        assert isinstance(expected[0], int)
+    else:
+        assert cli._quick_args(same_as) is not None
+        expected = _outcome(main, same_as)
+    assert _outcome(main, argv) == expected
 
 
-def test_thin_parser_holds_only_the_named_subcommand():
-    code, _, err = _parse(cli.build_parser(("ord",)), ["simulate"])
-    assert code == 2 and "invalid choice: 'simulate' (choose from 'ord')" in err
-    ring = cli.build_parser(("ring", "period"))
-    code, _, err = _parse(ring, ["ring", "period-set"])
-    assert code == 2 and "invalid choice: 'period-set' (choose from 'period')" in err
-    args = ring.parse_args(["ring", "period", "--components", "2", "--rec", "1",
-                            "--init", "1"])
-    assert (args.command, args.ring_command, args.run) == ("ring", "period",
-                                                           cli._run_ring_period)
+def test_budget_zero_takes_the_quick_path(capsys):
+    assert cli._quick_args(ORD + ["--budget", "0"]).budget == 0
+    assert run_cli(capsys, *ORD, "--budget", "0") == (
+        2, "", "usage error: --budget must be >= 1\n")
 
 
-def test_main_builds_the_parser_argv_names(monkeypatch, capsys):
+def test_options_refuse_what_the_quick_path_does_not_read():
+    options = cli._Options()
+    for kwargs in ({"nargs": 2}, {"metavar": "N"}, {"dest": "other"},
+                   {"action": "append"}, {"action": "count"}):
+        with pytest.raises(TypeError):
+            options.add_argument("--x", **kwargs)
+    with pytest.raises(TypeError):
+        options.add_argument("-x", "--x")
+
+
+def test_main_builds_a_parser_only_for_help_and_errors(monkeypatch, capsys):
     built = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda path=(): built.append(path) or build(path))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     main(["ord", "--field", "2", "--poly", "x+1"])
     main(["ring", "period", "--components", "2", "--rec", "1", "--init", "1"])
+    assert built == []
     for argv in (["--help"], [], ["bogus"], ["ring"], ["ring", "--help"], ["-h", "ord"]):
         with pytest.raises(SystemExit):
             main(argv)
-    assert built == [("ord",), ("ring", "period")] + [()] * 6
+        assert len(built) == 1, argv
+        built.clear()
     capsys.readouterr()
 
 

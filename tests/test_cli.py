@@ -675,6 +675,26 @@ def test_argparse_reads_what_the_quick_path_declines(monkeypatch, case):
     assert _outcome(main, argv) == expected
 
 
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+@pytest.mark.parametrize("case", ("help", "missing-required", "bad-choice", "unrecognized"))
+def test_main_prints_what_the_full_parser_prints(monkeypatch, path, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    tail = {"help": ["--help"], "missing-required": [], "bad-choice": ["--format", "xml"],
+            "unrecognized": LEAVES[path] + ["extra"]}[case]
+    argv = [*path, *tail]
+    assert cli._command_path(argv) == path
+    if not tail and path == ("verify",):  # verify has no required argument
+        assert cli._quick_args(argv) is not None and _quick_agrees(argv)
+        return
+    assert cli._quick_args(argv) is None
+    printed = _outcome(main, argv)
+    assert printed == _outcome(cli.build_parser().parse_args, argv)
+    if tail == ["--help"]:
+        assert printed[0] == 0 and printed[1].startswith(f"usage: period-lab {' '.join(path)} ")
+    else:
+        assert printed[0] == 2 and printed[2].startswith("usage: period-lab ")
+
+
 def test_budget_zero_takes_the_quick_path(capsys):
     assert cli._quick_args(ORD + ["--budget", "0"]).budget == 0
     assert run_cli(capsys, *ORD, "--budget", "0") == (
